@@ -442,7 +442,7 @@ struct ColdWarmCompile {
 inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1) {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
-  auto run = [&]() -> const QueryTelemetry& {
+  auto run = [&]() -> QueryTelemetry {
     auto r = engine.Execute(query);
     if (!r.ok()) {
       fprintf(stderr, "proteus cache bench: %s\n  %s\n", query.c_str(),
@@ -452,14 +452,14 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
     return engine.telemetry();
   };
   ColdWarmCompile out;
-  const QueryTelemetry& cold = run();
+  const QueryTelemetry cold = run();
   if (!cold.used_jit || cold.jit_cache_hit) {
     fprintf(stderr, "cache bench: cold run expected a JIT compile: %s\n", query.c_str());
     std::abort();
   }
   out.cold_compile_ms = cold.jit_compile_ms;
   for (int i = 0; i < warm_runs; ++i) {
-    const QueryTelemetry& warm = run();
+    const QueryTelemetry warm = run();
     if (!warm.jit_cache_hit) {
       fprintf(stderr, "cache bench: warm run missed the compiled-query cache: %s\n",
               query.c_str());

@@ -67,6 +67,10 @@ struct ColumnStats {
 class NdvSketch {
  public:
   void Add(uint64_t hash) { bits_.set((hash ^ (hash >> 23)) % kBits); }
+  /// Union with a sketch of another slice of the same column: adding a
+  /// column's values in any split, then merging, sets exactly the bits one
+  /// sketch over the whole column would.
+  void Merge(const NdvSketch& other) { bits_ |= other.bits_; }
   uint64_t Estimate() const {
     const uint64_t zeros = kBits - bits_.count();
     if (zeros == 0) return kBits;
@@ -78,6 +82,63 @@ class NdvSketch {
  private:
   static constexpr uint64_t kBits = 1 << 14;
   std::bitset<kBits> bits_;
+};
+
+/// Folds one column's values into ColumnStats with the semantics of a single
+/// in-order pass (`if (first || d < min) min = d`, likewise max): the first
+/// value seeds min and max, so a leading NaN sticks and later NaNs are
+/// ignored. Keeping the NaN-free extremes apart from that seed makes the
+/// fold splittable: accumulators over consecutive slices of a column,
+/// merged in slice order, finish bit-identical to one accumulator over the
+/// whole column — which is what lets plug-ins gather statistics in parallel
+/// chunks without changing optimizer plans.
+class ColumnStatsAccumulator {
+ public:
+  void Add(double d, uint64_t hash) {
+    sketch_.Add(hash);
+    if (!seen_) {
+      seen_ = true;
+      seed_ = d;
+    }
+    if (std::isnan(d)) return;
+    if (!has_num_ || d < min_) min_ = d;
+    if (!has_num_ || d > max_) max_ = d;
+    has_num_ = true;
+  }
+
+  /// Appends `next`, which covers the slice right after this one.
+  void Merge(const ColumnStatsAccumulator& next) {
+    sketch_.Merge(next.sketch_);
+    if (!next.seen_) return;
+    if (!seen_) {
+      seen_ = true;
+      seed_ = next.seed_;
+    }
+    if (!next.has_num_) return;
+    if (!has_num_ || next.min_ < min_) min_ = next.min_;
+    if (!has_num_ || next.max_ > max_) max_ = next.max_;
+    has_num_ = true;
+  }
+
+  ColumnStats Finish() const {
+    ColumnStats cs;
+    cs.valid = seen_;
+    if (seen_) {
+      const bool nan_seed = std::isnan(seed_);
+      cs.min = nan_seed ? seed_ : min_;
+      cs.max = nan_seed ? seed_ : max_;
+    }
+    cs.ndv = sketch_.Estimate();
+    return cs;
+  }
+
+ private:
+  NdvSketch sketch_;
+  bool seen_ = false;     ///< any non-null value
+  double seed_ = 0.0;     ///< the first value (a NaN here pins min/max to it)
+  bool has_num_ = false;  ///< any non-NaN value
+  double min_ = 0.0;      ///< extremes over the non-NaN values
+  double max_ = 0.0;
 };
 
 struct DatasetStats {
@@ -100,6 +161,13 @@ class StatsStore {
     auto sp = std::make_shared<const DatasetStats>(std::move(stats));
     MutexLock lk(mu_);
     stats_[dataset] = std::move(sp);
+    ++publishes_;
+  }
+
+  /// Publish() calls so far: how many times statistics were (re)gathered.
+  uint64_t publishes() const {
+    MutexLock lk(mu_);
+    return publishes_;
   }
 
   /// Immutable snapshot (null when absent).
@@ -118,6 +186,7 @@ class StatsStore {
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const DatasetStats>> stats_
       GUARDED_BY(mu_);
+  uint64_t publishes_ GUARDED_BY(mu_) = 0;
 };
 
 /// Dataset registry. Thread-safe for the serving workload: registrations

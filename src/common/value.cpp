@@ -62,20 +62,21 @@ bool Value::Equals(const Value& other) const {
   return true;
 }
 
+uint64_t Value::HashFloat(double d) {
+  // Hash integral doubles like their int counterparts so mixed-type keys group.
+  if (d == static_cast<double>(static_cast<int64_t>(d))) {
+    return HashInt(static_cast<int64_t>(d));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(d));
+  return HashMix64(bits);
+}
+
 uint64_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
-  if (is_int()) return HashMix64(static_cast<uint64_t>(i()));
-  if (is_float()) {
-    double d = f();
-    // Hash integral doubles like their int counterparts so mixed-type keys group.
-    if (d == static_cast<double>(static_cast<int64_t>(d))) {
-      return HashMix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-    }
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(d));
-    return HashMix64(bits);
-  }
+  if (is_int()) return HashInt(i());
+  if (is_float()) return HashFloat(f());
   if (is_bool()) return HashMix64(b() ? 1 : 2);
   if (is_string()) return HashString(s());
   uint64_t h = 0x51ed270b;

@@ -75,6 +75,10 @@ class Value {
   bool Equals(const Value& other) const;
 
   uint64_t Hash() const;
+  /// Hash() of Value::Int(v) / Value::Float(d), without boxing (the typed
+  /// statistics passes hash parsed fields directly).
+  static uint64_t HashInt(int64_t v) { return HashMix64(static_cast<uint64_t>(v)); }
+  static uint64_t HashFloat(double d);
   std::string ToString() const;
 
  private:

@@ -41,15 +41,14 @@ void AppendJoinStrategies(const Operator& op, std::string* out) {
 
 QueryEngine::QueryEngine(EngineOptions opts)
     : opts_(std::move(opts)),
-      caches_(opts_.cache_policy),
-      scheduler_(opts_.num_threads) {
+      scheduler_(opts_.num_threads),
+      trace_recorder_(opts_.trace ? std::make_unique<obs::TraceRecorder>() : nullptr),
+      plugins_(&scheduler_, trace_recorder_.get()),
+      caches_(opts_.cache_policy) {
   // num_threads = 0 asks for hardware concurrency; the scheduler resolved
   // it, so reflect the actual worker count back into the options (telemetry
   // and the shard coordinator's per-shard pools size off this value).
   opts_.num_threads = scheduler_.num_threads();
-  if (opts_.trace) {
-    trace_recorder_ = std::make_unique<obs::TraceRecorder>();
-  }
   if (opts_.jit_cache_capacity > 0) {
     jit_cache_ = std::make_unique<jit::CompiledQueryCache>(opts_.jit_cache_capacity);
   }

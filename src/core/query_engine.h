@@ -295,13 +295,15 @@ class QueryEngine {
 
   EngineOptions opts_;
   Catalog catalog_;
-  PluginRegistry plugins_;
-  CachingManager caches_;
   TaskScheduler scheduler_;
   /// Declared before the subsystems whose background jobs may still emit
   /// spans (the tiered compiler's worker): reverse destruction order joins
   /// those threads before the recorder dies.
   std::unique_ptr<obs::TraceRecorder> trace_recorder_;
+  /// Declared after the scheduler and recorder it borrows: cold opens fan
+  /// out on the engine's pool and trace into the engine's recorder.
+  PluginRegistry plugins_;
+  CachingManager caches_;
   std::unique_ptr<jit::CompiledQueryCache> jit_cache_;
   /// Declared after every subsystem its background jobs borrow (catalog,
   /// plug-ins, caches, jit cache): destruction runs in reverse order, so the

@@ -34,7 +34,7 @@ std::vector<ScanRange> BlockAlignedSplit(uint64_t n, uint64_t max_morsels, uint6
 // BinColPlugin
 // ---------------------------------------------------------------------------
 
-Status BinColPlugin::Open() {
+Status BinColPlugin::Open(TaskScheduler* /*scheduler*/) {
   if (reader_) return Status::OK();
   PROTEUS_ASSIGN_OR_RETURN(BinColReader r, BinColReader::Open(info_.path));
   reader_ = std::move(r);
@@ -61,8 +61,8 @@ Result<Value> BinColPlugin::ReadValue(uint64_t oid, const FieldPath& path) {
   }
 }
 
-Status BinColPlugin::CollectStats(StatsStore* store) {
-  PROTEUS_RETURN_NOT_OK(Open());
+Result<DatasetStats> BinColPlugin::ComputeStats(TaskScheduler* scheduler) {
+  PROTEUS_RETURN_NOT_OK(Open(scheduler));
   DatasetStats ds;
   ds.cardinality = reader_->num_rows();
   for (uint32_t j = 0; j < reader_->num_cols(); ++j) {
@@ -99,15 +99,14 @@ Status BinColPlugin::CollectStats(StatsStore* store) {
     cs.valid = true;
   }
   ds.valid = true;
-  store->Publish(info_.name, std::move(ds));
-  return Status::OK();
+  return ds;
 }
 
 // ---------------------------------------------------------------------------
 // BinRowPlugin
 // ---------------------------------------------------------------------------
 
-Status BinRowPlugin::Open() {
+Status BinRowPlugin::Open(TaskScheduler* /*scheduler*/) {
   if (reader_) return Status::OK();
   PROTEUS_ASSIGN_OR_RETURN(BinRowReader r, BinRowReader::Open(info_.path));
   reader_ = std::move(r);

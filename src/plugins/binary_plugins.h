@@ -19,10 +19,13 @@ class BinColPlugin : public InputPlugin {
 
   const DatasetInfo& info() const override { return info_; }
   const char* name() const override { return "bincol"; }
-  Status Open() override;
+  using InputPlugin::Open;
+  /// Maps the columns; nothing to index, so `scheduler` is unused.
+  Status Open(TaskScheduler* scheduler) override;
   uint64_t NumRecords() const override { return reader_ ? reader_->num_rows() : 0; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
-  Status CollectStats(StatsStore* store) override;
+  /// Typed serial pass over the column arrays (memory-bandwidth bound).
+  Result<DatasetStats> ComputeStats(TaskScheduler* scheduler) override;
   double CostPerTuple() const override { return 1.0; }
   double CostPerField() const override { return 1.0; }
   /// Rows are fixed width; morsel boundaries snap to 1024-row blocks so
@@ -43,7 +46,9 @@ class BinRowPlugin : public InputPlugin {
 
   const DatasetInfo& info() const override { return info_; }
   const char* name() const override { return "binrow"; }
-  Status Open() override;
+  using InputPlugin::Open;
+  /// Maps the file; nothing to index, so `scheduler` is unused.
+  Status Open(TaskScheduler* scheduler) override;
   uint64_t NumRecords() const override { return reader_ ? reader_->num_rows() : 0; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
   double CostPerTuple() const override { return 1.2; }  // wider rows pollute cache lines

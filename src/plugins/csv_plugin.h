@@ -11,6 +11,15 @@
 // samples entirely and computes positions deterministically
 // (paper: "if a CSV file contains fixed-length entries, Proteus
 // deterministically computes field positions").
+//
+// Parallel, allocation-exact build: Open(scheduler) cuts the file into one
+// newline-aligned byte chunk per worker. Pass 1 counts each chunk's rows
+// (its newlines); the caller sizes the row offsets and samples exactly;
+// pass 2 validates each chunk's rows and fills its slices in place. Errors
+// and the fixed-width check are merged in file order, so the index is
+// byte-identical at every worker count. Statistics split each row into
+// fields once for all numeric columns, per chunk, merged in order (see
+// InputPlugin::ComputeStats).
 #pragma once
 
 #include <optional>
@@ -26,7 +35,8 @@ class CsvPlugin : public InputPlugin {
 
   const DatasetInfo& info() const override { return info_; }
   const char* name() const override { return "csv"; }
-  Status Open() override;
+  using InputPlugin::Open;
+  Status Open(TaskScheduler* scheduler) override;
   uint64_t NumRecords() const override { return num_rows_; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
   double CostPerTuple() const override { return 4.0; }   // parsing + navigation
@@ -43,12 +53,23 @@ class CsvPlugin : public InputPlugin {
   /// runtime helpers, which are this plug-in's "generated" access code).
   std::string_view FieldText(uint64_t oid, uint32_t col) const;
 
+  /// The positional index, read-only (tests compare builds across worker
+  /// counts). Both are empty in fixed-width mode.
+  const std::vector<uint64_t>& row_offsets() const { return row_offsets_; }
+  const std::vector<uint16_t>& samples() const { return samples_; }
+
   int ColumnIndex(const std::string& name) const;
   TypeKind ColumnType(uint32_t col) const { return col_types_[col]; }
   const MmapFile& file() const { return file_; }
 
+ protected:
+  /// Typed pass: each row is split into fields once for all its numeric
+  /// columns.
+  void AccumulateStats(uint64_t begin, uint64_t end, const std::vector<FieldPath>& leaves,
+                       ColumnStatsAccumulator* acc, Status* errors) override;
+
  private:
-  Status BuildIndex();
+  Status BuildIndex(TaskScheduler* scheduler);
 
   DatasetInfo info_;
   MmapFile file_;

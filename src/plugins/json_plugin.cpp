@@ -7,6 +7,7 @@
 
 #include "src/common/counters.h"
 #include "src/common/hash.h"
+#include "src/common/task_scheduler.h"
 
 namespace proteus {
 
@@ -230,156 +231,242 @@ Result<Value> ParseJsonValue(const char* begin, const char* end) {
 // Structural index construction
 // ---------------------------------------------------------------------------
 
-Status JsonPlugin::Open() {
+namespace {
+
+/// Walks one object depth-first in document order, reporting every record
+/// field's value token to `sink` (nested record fields too, under their
+/// dotted path) and, for array tokens, the element spans first. The count
+/// and fill passes share this walker, so they agree on every object by
+/// construction.
+///
+/// Path hashes equal HashString(dotted path) without building the path:
+/// FNV-1a streams, so hashing "." and then the name from the prefix's hash
+/// continues the prefix's hash. They are computed only when the sink asks.
+template <class Sink>
+Status WalkObject(JsonCursor* c, const char* obj_base, uint64_t prefix_hash, bool prefix_empty,
+                  Sink* sink) {
+  PROTEUS_RETURN_NOT_OK(c->Expect('{'));
+  c->SkipWs();
+  if (!c->Eof() && c->Peek() == '}') {
+    ++c->p;
+    return Status::OK();
+  }
+  auto rel = [obj_base](const char* q) { return static_cast<uint32_t>(q - obj_base); };
+  while (true) {
+    std::string_view name;
+    PROTEUS_RETURN_NOT_OK(c->ParseName(&name));
+    PROTEUS_RETURN_NOT_OK(c->Expect(':'));
+    const char *vs, *ve;
+    JsonTokenType vt;
+    PROTEUS_RETURN_NOT_OK(c->SkipValue(&vs, &ve, &vt));
+    uint64_t path_hash = 0;
+    if (sink->wants_hashes()) {
+      path_hash = prefix_empty ? HashString(name)
+                               : HashBytes(name.data(), name.size(), HashBytes(".", 1, prefix_hash));
+    }
+    if (vt == JsonTokenType::kArray) {
+      JsonCursor ac{vs, ve};
+      PROTEUS_RETURN_NOT_OK(ac.Expect('['));
+      ac.SkipWs();
+      uint32_t count = 0;
+      if (!ac.Eof() && ac.Peek() != ']') {
+        while (true) {
+          const char *es, *ee;
+          JsonTokenType et;
+          PROTEUS_RETURN_NOT_OK(ac.SkipValue(&es, &ee, &et));
+          sink->Elem({rel(es), rel(ee), et});
+          ++count;
+          ac.SkipWs();
+          if (!ac.Eof() && ac.Peek() == ',') {
+            ++ac.p;
+            continue;
+          }
+          break;
+        }
+      }
+      sink->Array(count);
+    }
+    sink->Token(path_hash, {rel(vs), rel(ve), vt});
+    if (vt == JsonTokenType::kObject) {
+      // Register nested record fields too (Fig 4: c.d.d1 is in Level 0).
+      JsonCursor nested{vs, ve};
+      PROTEUS_RETURN_NOT_OK(
+          WalkObject(&nested, obj_base, path_hash, prefix_empty && name.empty(), sink));
+    }
+    c->SkipWs();
+    if (!c->Eof() && c->Peek() == ',') {
+      ++c->p;
+      continue;
+    }
+    break;
+  }
+  return c->Expect('}');
+}
+
+/// Visits the objects (non-blank lines) of bytes [p, end); stops at the
+/// first `fn` failure and returns it with the chunk-local object index.
+template <class Fn>
+Status ForEachObject(const char* p, const char* end, uint64_t* objects, Fn fn) {
+  while (p < end) {
+    const char* line_end = static_cast<const char*>(memchr(p, '\n', end - p));
+    if (line_end == nullptr) line_end = end;
+    if (line_end != p) {  // blank lines hold no object
+      PROTEUS_RETURN_NOT_OK(fn(p, line_end));
+      ++*objects;
+    }
+    p = line_end < end ? line_end + 1 : end;
+  }
+  return Status::OK();
+}
+
+/// Pass 1 of one chunk: index sizes, plus whether every object in the chunk
+/// has the path sequence of the chunk's first object.
+struct JsonChunkCount {
+  uint64_t objects = 0, tokens = 0, elems = 0, arrays = 0;
+  Status error;  ///< first malformed object; `objects` is its local index
+  bool check_schema = false;
+  std::vector<uint64_t> first_paths;  ///< path hashes of the first object
+  bool uniform = true;
+  size_t pos = 0;  ///< current object's token position in first_paths
+
+  bool wants_hashes() const { return check_schema; }
+  void Elem(const JsonElem&) { ++elems; }
+  void Array(uint32_t) { ++arrays; }
+  void Token(uint64_t path_hash, const JsonToken&) {
+    ++tokens;
+    if (!check_schema) return;
+    if (objects == 0) {
+      first_paths.push_back(path_hash);
+    } else if (uniform && (pos >= first_paths.size() || first_paths[pos] != path_hash)) {
+      uniform = false;
+    }
+    ++pos;
+  }
+  void EndObject() {
+    if (objects > 0 && pos != first_paths.size()) uniform = false;
+    pos = 0;
+  }
+};
+
+/// Pass 2 of one chunk: writes the chunk's slice of the exactly-sized index
+/// arrays in place, starting at the chunk's offsets from pass 1.
+struct JsonChunkFill {
+  JsonToken* tokens;
+  JsonElem* elems;
+  JsonArrayInfo* arrays;
+  std::pair<uint64_t, uint32_t>* level0;  ///< null in fixed-schema mode
+  uint32_t tok, elem, arr;
+
+  bool wants_hashes() const { return level0 != nullptr; }
+  void Elem(const JsonElem& e) { elems[elem++] = e; }
+  void Array(uint32_t count) { arrays[arr++] = {tok, elem - count, count}; }
+  void Token(uint64_t path_hash, const JsonToken& t) {
+    if (level0 != nullptr) level0[tok] = {path_hash, tok};
+    tokens[tok++] = t;
+  }
+};
+
+}  // namespace
+
+Status JsonPlugin::Open(TaskScheduler* scheduler) {
   if (opened_) return Status::OK();
   PROTEUS_ASSIGN_OR_RETURN(file_, MmapFile::Open(info_.path));
-  PROTEUS_RETURN_NOT_OK(BuildIndex());
+  PROTEUS_RETURN_NOT_OK(BuildIndex(scheduler));
   opened_ = true;
   return Status::OK();
 }
 
-Status JsonPlugin::BuildIndex() {
+Status JsonPlugin::BuildIndex(TaskScheduler* scheduler) {
   const char* base = file_.data();
-  const char* end = base + file_.size();
+  const std::vector<uint64_t> cuts =
+      LineAlignedCuts(base, 0, file_.size(), OpenChunks(scheduler));
+  const size_t nchunks = cuts.size() - 1;
 
-  // Per-object scratch, reused.
-  std::vector<uint64_t> path_hashes;     // doc-order path hash per token
-  std::vector<uint64_t> first_sequence;  // object 0's path sequence
-  bool schemas_identical = true;
+  // Pass 1: count each chunk's objects, tokens, elements and arrays, and
+  // check the schema. Validation happens here, so pass 2 cannot fail.
+  std::vector<JsonChunkCount> counts(nchunks);
+  PROTEUS_RETURN_NOT_OK(ForEachChunk(scheduler, nchunks, [&](uint64_t c) {
+    JsonChunkCount& k = counts[c];
+    k.check_schema = info_.json.exploit_fixed_schema;
+    k.error = ForEachObject(base + cuts[c], base + cuts[c + 1], &k.objects,
+                            [&](const char* p, const char* line_end) {
+                              JsonCursor cur{p, line_end};
+                              PROTEUS_RETURN_NOT_OK(WalkObject(&cur, p, 0, true, &k));
+                              k.EndObject();
+                              return Status::OK();
+                            });
+  }));
 
-  // Recursive object walker: records tokens for record fields (recursing into
-  // nested objects) and element spans for arrays.
-  struct Walker {
-    JsonPlugin* self;
-    const char* obj_base;
-    std::vector<uint64_t>* path_hashes;
-
-    Status WalkObject(JsonCursor* c, const std::string& prefix) {
-      PROTEUS_RETURN_NOT_OK(c->Expect('{'));
-      c->SkipWs();
-      if (!c->Eof() && c->Peek() == '}') {
-        ++c->p;
-        return Status::OK();
-      }
-      while (true) {
-        std::string_view name;
-        PROTEUS_RETURN_NOT_OK(c->ParseName(&name));
-        PROTEUS_RETURN_NOT_OK(c->Expect(':'));
-        const char *vs, *ve;
-        JsonTokenType vt;
-        PROTEUS_RETURN_NOT_OK(c->SkipValue(&vs, &ve, &vt));
-        std::string path = prefix.empty() ? std::string(name) : prefix + "." + std::string(name);
-
-        JsonToken tok;
-        tok.start = static_cast<uint32_t>(vs - obj_base);
-        tok.end = static_cast<uint32_t>(ve - obj_base);
-        tok.type = vt;
-        if (vt == JsonTokenType::kArray) {
-          JsonArrayInfo ai;
-          ai.token_idx = static_cast<uint32_t>(self->tokens_.size());
-          ai.elem_begin = static_cast<uint32_t>(self->elems_.size());
-          JsonCursor ac{vs, ve};
-          PROTEUS_RETURN_NOT_OK(ac.Expect('['));
-          ac.SkipWs();
-          uint32_t count = 0;
-          if (!ac.Eof() && ac.Peek() != ']') {
-            while (true) {
-              const char *es, *ee;
-              JsonTokenType et;
-              PROTEUS_RETURN_NOT_OK(ac.SkipValue(&es, &ee, &et));
-              self->elems_.push_back({static_cast<uint32_t>(es - obj_base),
-                                      static_cast<uint32_t>(ee - obj_base), et});
-              ++count;
-              ac.SkipWs();
-              if (!ac.Eof() && ac.Peek() == ',') {
-                ++ac.p;
-                continue;
-              }
-              break;
-            }
-          }
-          ai.elem_count = count;
-          self->arrays_.push_back(ai);
-        }
-        self->tokens_.push_back(tok);
-        path_hashes->push_back(HashString(path));
-
-        if (vt == JsonTokenType::kObject) {
-          // Register nested record fields too (Fig 4: c.d.d1 is in Level 0).
-          JsonCursor nested{vs, ve};
-          PROTEUS_RETURN_NOT_OK(WalkObject(&nested, path));
-        }
-
-        c->SkipWs();
-        if (!c->Eof() && c->Peek() == ',') {
-          ++c->p;
-          continue;
-        }
-        break;
-      }
-      return c->Expect('}');
-    }
+  // Chunk starts in the final arrays (prefix sums), the first error in file
+  // order, and whether every object shares the first object's paths.
+  struct Offsets {
+    uint64_t obj = 0, tok = 0, elem = 0, arr = 0;
   };
-
-  const char* p = base;
-  while (p < end) {
-    // One object per line.
-    const char* line_end = static_cast<const char*>(memchr(p, '\n', end - p));
-    if (line_end == nullptr) line_end = end;
-    if (line_end == p) {  // blank line
-      p = line_end + 1;
-      continue;
+  std::vector<Offsets> at(nchunks + 1);
+  const std::vector<uint64_t>* first_paths = nullptr;
+  bool uniform = info_.json.exploit_fixed_schema;
+  for (size_t c = 0; c < nchunks; ++c) {
+    const JsonChunkCount& k = counts[c];
+    if (!k.error.ok()) {
+      return Status::ParseError("object " + std::to_string(at[c].obj + k.objects) + " in " +
+                                info_.path + ": " + k.error.message());
     }
-    obj_offsets_.push_back(static_cast<uint64_t>(p - base));
-    tok_begin_.push_back(static_cast<uint32_t>(tokens_.size()));
-
-    path_hashes.clear();
-    Walker w{this, p, &path_hashes};
-    JsonCursor c{p, line_end};
-    Status st = w.WalkObject(&c, "");
-    if (!st.ok()) {
-      return Status::ParseError("object " + std::to_string(obj_offsets_.size() - 1) + " in " +
-                                info_.path + ": " + st.message());
+    if (k.objects > 0) {
+      if (first_paths == nullptr) first_paths = &k.first_paths;
+      uniform = uniform && k.uniform && k.first_paths == *first_paths;
     }
-
-    if (obj_offsets_.size() == 1) {
-      first_sequence = path_hashes;
-    } else if (schemas_identical && path_hashes != first_sequence) {
-      schemas_identical = false;
-    }
-
-    // Level 0 for this object: sorted (hash, local idx).
-    uint32_t slice_begin = tok_begin_.back();
-    level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
-    for (uint32_t k = 0; k < path_hashes.size(); ++k) {
-      level0_.emplace_back(path_hashes[k], slice_begin + k);
-    }
-    auto l0b = level0_.begin() + level0_begin_.back();
-    std::sort(l0b, level0_.end());
-
-    p = line_end < end ? line_end + 1 : end;
+    at[c + 1] = {at[c].obj + k.objects, at[c].tok + k.tokens, at[c].elem + k.elems,
+                 at[c].arr + k.arrays};
   }
-  num_objects_ = obj_offsets_.size();
-  tok_begin_.push_back(static_cast<uint32_t>(tokens_.size()));
-  level0_begin_.push_back(static_cast<uint32_t>(level0_.size()));
+  num_objects_ = at[nchunks].obj;
+  // Machine-generated data: every object has the same paths, so Level 0 is
+  // never built and lookups become deterministic.
+  fixed_schema_ = uniform && num_objects_ > 0;
 
-  // Release growth slack: the index is immutable from here on.
-  tokens_.shrink_to_fit();
-  elems_.shrink_to_fit();
-  arrays_.shrink_to_fit();
-  level0_.shrink_to_fit();
-  obj_offsets_.shrink_to_fit();
+  obj_offsets_.resize(num_objects_);
+  tok_begin_.resize(num_objects_ + 1);
+  tokens_.resize(at[nchunks].tok);
+  elems_.resize(at[nchunks].elem);
+  arrays_.resize(at[nchunks].arr);
+  if (!fixed_schema_) {
+    level0_.resize(tokens_.size());
+    level0_begin_.resize(num_objects_ + 1);
+  }
 
-  if (schemas_identical && num_objects_ > 0 && info_.json.exploit_fixed_schema) {
-    // Machine-generated data: drop Level 0, lookups become deterministic.
-    fixed_schema_ = true;
-    for (uint32_t k = 0; k < first_sequence.size(); ++k) {
-      fixed_slots_.emplace(first_sequence[k], k);
+  // Pass 2: fill each chunk's slices in place; nothing large is allocated
+  // on the workers.
+  std::vector<Status> fill_errors(nchunks);
+  PROTEUS_RETURN_NOT_OK(ForEachChunk(scheduler, nchunks, [&](uint64_t c) {
+    JsonChunkFill f{tokens_.data(),
+                    elems_.data(),
+                    arrays_.data(),
+                    fixed_schema_ ? nullptr : level0_.data(),
+                    static_cast<uint32_t>(at[c].tok),
+                    static_cast<uint32_t>(at[c].elem),
+                    static_cast<uint32_t>(at[c].arr)};
+    uint64_t obj = at[c].obj;
+    fill_errors[c] = ForEachObject(
+        base + cuts[c], base + cuts[c + 1], &obj, [&](const char* p, const char* line_end) {
+          obj_offsets_[obj] = static_cast<uint64_t>(p - base);
+          tok_begin_[obj] = f.tok;
+          JsonCursor cur{p, line_end};
+          PROTEUS_RETURN_NOT_OK(WalkObject(&cur, p, 0, true, &f));
+          if (!fixed_schema_) {
+            // Level 0 for this object: its (hash, token) slice, sorted.
+            level0_begin_[obj] = tok_begin_[obj];
+            std::sort(level0_.begin() + tok_begin_[obj], level0_.begin() + f.tok);
+          }
+          return Status::OK();
+        });
+  }));
+  for (const Status& st : fill_errors) PROTEUS_RETURN_NOT_OK(st);
+  tok_begin_[num_objects_] = static_cast<uint32_t>(tokens_.size());
+  if (!fixed_schema_) {
+    level0_begin_[num_objects_] = static_cast<uint32_t>(level0_.size());
+  } else {
+    for (uint32_t k = 0; k < first_paths->size(); ++k) {
+      fixed_slots_.emplace((*first_paths)[k], k);
     }
-    level0_.clear();
-    level0_.shrink_to_fit();
-    level0_begin_.clear();
-    level0_begin_.shrink_to_fit();
   }
   return Status::OK();
 }
@@ -454,6 +541,52 @@ Result<Value> JsonPlugin::SpanToValue(const char* s, const char* e, JsonTokenTyp
 Result<Value> JsonPlugin::TokenToValue(uint64_t oid, const JsonToken& tok) const {
   const char* ob = ObjectBase(oid);
   return SpanToValue(ob + tok.start, ob + tok.end, tok.type);
+}
+
+void JsonPlugin::AccumulateStats(uint64_t begin, uint64_t end,
+                                 const std::vector<FieldPath>& leaves,
+                                 ColumnStatsAccumulator* acc, Status* errors) {
+  std::vector<uint64_t> path_hashes;
+  path_hashes.reserve(leaves.size());
+  for (const FieldPath& leaf : leaves) path_hashes.push_back(HashString(DottedPath(leaf)));
+  uint64_t accesses = 0;
+  // Object-major: each object's tokens are touched once for all its leaves.
+  // Int and float tokens parse straight into the accumulator, as ReadValue
+  // would box them; anything else takes the boxed path for its exact error.
+  for (uint64_t oid = begin; oid < end; ++oid) {
+    const char* ob = ObjectBase(oid);
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      if (!errors[i].ok()) continue;
+      const JsonToken* tok = FindTokenByHash(oid, path_hashes[i]);
+      if (tok == nullptr) continue;  // an absent optional field is a null
+      const char* s = ob + tok->start;
+      const char* e = ob + tok->end;
+      if (tok->type == JsonTokenType::kNull) {
+        ++accesses;
+        continue;
+      }
+      if (tok->type == JsonTokenType::kInt) {
+        int64_t v = 0;
+        if (std::from_chars(s, e, v).ec == std::errc()) {
+          ++accesses;
+          acc[i].Add(static_cast<double>(v), Value::HashInt(v));
+          continue;
+        }
+      } else if (tok->type == JsonTokenType::kFloat) {
+        double d = 0;
+        if (std::from_chars(s, e, d).ec == std::errc()) {
+          ++accesses;
+          acc[i].Add(d, Value::HashFloat(d));
+          continue;
+        }
+      }
+      auto v = TokenToValue(oid, *tok);
+      errors[i] = v.ok() ? Status::TypeError("field '" + DottedPath(leaves[i]) + "' of object " +
+                                             std::to_string(oid) + " is not numeric")
+                         : v.status();
+    }
+  }
+  GlobalCounters().raw_field_accesses += accesses;
 }
 
 Result<Value> JsonPlugin::ReadValue(uint64_t oid, const FieldPath& path) {

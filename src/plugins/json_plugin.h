@@ -19,9 +19,20 @@
 //
 // Specializing per dataset contents: while building the index the plug-in
 // checks whether every object yields the identical path sequence (machine-
-// generated data). If so, Level 0 is dropped entirely and lookups become a
+// generated data). If so, Level 0 is never built and lookups become a
 // single dataset-level map from path to token slot (paper: "drop Level 0
 // because the lookup process is now deterministic").
+//
+// Parallel, allocation-exact build: Open(scheduler) cuts the file into one
+// newline-aligned byte chunk per worker. Pass 1 walks each chunk's objects,
+// validating them and counting objects, tokens, array elements and arrays
+// (and checking the path sequence); the caller then sizes every index array
+// exactly; pass 2 walks the chunks again and fills each chunk's slice in
+// place, sorting each object's Level-0 slice. Both passes share one walker,
+// so they agree by construction, and the index is byte-identical at every
+// worker count. Path hashes are streamed (FNV-1a over prefix, ".", name)
+// instead of hashing a built path string. Statistics come from a typed pass
+// over the tokens, per chunk, merged in order (see InputPlugin::ComputeStats).
 #pragma once
 
 #include <unordered_map>
@@ -71,7 +82,8 @@ class JsonPlugin : public InputPlugin {
 
   const DatasetInfo& info() const override { return info_; }
   const char* name() const override { return "json"; }
-  Status Open() override;
+  using InputPlugin::Open;
+  Status Open(TaskScheduler* scheduler) override;
   uint64_t NumRecords() const override { return num_objects_; }
   Result<Value> ReadValue(uint64_t oid, const FieldPath& path) override;
   Result<std::unique_ptr<UnnestCursor>> UnnestInit(uint64_t oid,
@@ -99,8 +111,22 @@ class JsonPlugin : public InputPlugin {
   const char* ObjectBase(uint64_t oid) const { return file_.data() + obj_offsets_[oid]; }
   const std::vector<JsonElem>& elems() const { return elems_; }
 
+  /// The rest of the structural index, read-only (tests compare builds
+  /// across worker counts). Level 0 is empty in fixed-schema mode.
+  const std::vector<uint64_t>& object_offsets() const { return obj_offsets_; }
+  const std::vector<JsonToken>& tokens() const { return tokens_; }
+  const std::vector<uint32_t>& token_begins() const { return tok_begin_; }
+  const std::vector<JsonArrayInfo>& arrays() const { return arrays_; }
+  const std::vector<std::pair<uint64_t, uint32_t>>& level0() const { return level0_; }
+  const std::vector<uint32_t>& level0_begins() const { return level0_begin_; }
+
+ protected:
+  /// Typed pass: numeric tokens parse straight into the accumulators.
+  void AccumulateStats(uint64_t begin, uint64_t end, const std::vector<FieldPath>& leaves,
+                       ColumnStatsAccumulator* acc, Status* errors) override;
+
  private:
-  Status BuildIndex();
+  Status BuildIndex(TaskScheduler* scheduler);
   Result<Value> SpanToValue(const char* s, const char* e, JsonTokenType type) const;
 
   DatasetInfo info_;

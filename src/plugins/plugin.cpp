@@ -1,7 +1,12 @@
 #include "src/plugins/plugin.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <sstream>
+
+#include "src/common/task_scheduler.h"
+#include "src/obs/trace.h"
 
 namespace proteus {
 
@@ -114,41 +119,87 @@ void NumericLeafPaths(const Type& rec, FieldPath* prefix, std::vector<FieldPath>
 
 }  // namespace
 
-Status InputPlugin::CollectStats(StatsStore* store) {
-  PROTEUS_RETURN_NOT_OK(Open());
-  // Build locally, publish atomically: a concurrent query's optimizer must
-  // never observe a half-filled DatasetStats.
-  DatasetStats ds;
-  ds.cardinality = NumRecords();
-  std::vector<FieldPath> paths;
-  FieldPath prefix;
-  NumericLeafPaths(info().record_type(), &prefix, &paths);
-  for (const auto& p : paths) {
-    ColumnStats& cs = ds.columns[DottedPath(p)];
-    cs.valid = false;
-    bool first = true;
-    NdvSketch sketch;
-    for (uint64_t oid = 0; oid < NumRecords(); ++oid) {
-      auto v = ReadValue(oid, p);
+void InputPlugin::AccumulateStats(uint64_t begin, uint64_t end,
+                                  const std::vector<FieldPath>& leaves,
+                                  ColumnStatsAccumulator* acc, Status* errors) {
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    for (uint64_t oid = begin; oid < end; ++oid) {
+      auto v = ReadValue(oid, leaves[i]);
       if (!v.ok()) {
         // Optional JSON fields: an absent leaf is a null, not an error —
         // the same leniency the scan cursors apply.
         if (v.status().code() == StatusCode::kNotFound) continue;
-        return v.status();
+        errors[i] = v.status();
+        break;
       }
       if (v->is_null()) continue;
-      double d = v->AsFloat();
-      if (first || d < cs.min) cs.min = d;
-      if (first || d > cs.max) cs.max = d;
-      first = false;
-      sketch.Add(v->Hash());
+      acc[i].Add(v->AsFloat(), v->Hash());
     }
-    cs.valid = !first;
-    cs.ndv = sketch.Estimate();
+  }
+}
+
+Result<DatasetStats> InputPlugin::ComputeStats(TaskScheduler* scheduler) {
+  PROTEUS_RETURN_NOT_OK(Open(scheduler));
+  std::vector<FieldPath> leaves;
+  FieldPath prefix;
+  NumericLeafPaths(info().record_type(), &prefix, &leaves);
+  // Per-chunk accumulators and errors, merged in chunk order below: the
+  // result is the one leaf-by-leaf serial pass's, at any chunk count.
+  const std::vector<ScanRange> chunks = EvenSplit(NumRecords(), OpenChunks(scheduler));
+  std::vector<ColumnStatsAccumulator> acc(chunks.size() * leaves.size());
+  std::vector<Status> errors(chunks.size() * leaves.size());
+  PROTEUS_RETURN_NOT_OK(ForEachChunk(scheduler, chunks.size(), [&](uint64_t c) {
+    AccumulateStats(chunks[c].begin, chunks[c].end, leaves, &acc[c * leaves.size()],
+                    &errors[c * leaves.size()]);
+  }));
+  DatasetStats ds;
+  ds.cardinality = NumRecords();
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    ColumnStatsAccumulator merged;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      PROTEUS_RETURN_NOT_OK(errors[c * leaves.size() + i]);
+      merged.Merge(acc[c * leaves.size() + i]);
+    }
+    ds.columns[DottedPath(leaves[i])] = merged.Finish();
   }
   ds.valid = true;
+  return ds;
+}
+
+Status InputPlugin::CollectStats(StatsStore* store, TaskScheduler* scheduler) {
+  // Build locally, publish atomically: a concurrent query's optimizer must
+  // never observe a half-filled DatasetStats.
+  PROTEUS_ASSIGN_OR_RETURN(DatasetStats ds, ComputeStats(scheduler));
   store->Publish(info().name, std::move(ds));
   return Status::OK();
+}
+
+uint64_t OpenChunks(const TaskScheduler* scheduler) {
+  return scheduler != nullptr ? static_cast<uint64_t>(scheduler->num_threads()) : 1;
+}
+
+Status ForEachChunk(TaskScheduler* scheduler, uint64_t n,
+                    const std::function<void(uint64_t)>& fn) {
+  if (scheduler == nullptr) {
+    for (uint64_t c = 0; c < n; ++c) fn(c);
+    return Status::OK();
+  }
+  return scheduler->ParallelFor(n, [&](uint64_t c, int) {
+    fn(c);
+    return Status::OK();
+  });
+}
+
+std::vector<uint64_t> LineAlignedCuts(const char* data, uint64_t begin, uint64_t end,
+                                      uint64_t parts) {
+  std::vector<uint64_t> cuts(parts + 1, end);
+  cuts[0] = begin;
+  for (uint64_t i = 1; i < parts; ++i) {
+    const uint64_t nominal = std::max(cuts[i - 1], begin + (end - begin) * i / parts);
+    const void* nl = nominal < end ? std::memchr(data + nominal, '\n', end - nominal) : nullptr;
+    cuts[i] = nl != nullptr ? static_cast<uint64_t>(static_cast<const char*>(nl) - data) + 1 : end;
+  }
+  return cuts;
 }
 
 std::vector<ScanRange> EvenSplit(uint64_t n, uint64_t max_morsels) {
@@ -193,23 +244,68 @@ std::vector<ScanRange> SplitByByteOffsets(const std::vector<uint64_t>& starts, u
 }
 
 Result<InputPlugin*> PluginRegistry::GetOrOpen(const DatasetInfo& info, StatsStore* stats) {
-  MutexLock lk(mu_);
-  auto it = open_.find(info.name);
-  if (it != open_.end()) return it->second.get();
-  PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<InputPlugin> plugin, CreateInputPlugin(info));
-  PROTEUS_RETURN_NOT_OK(plugin->Open());
-  // Cold access: gather statistics while I/O is warm (paper §5.2).
-  if (stats != nullptr && stats->Find(info.name) == nullptr) {
-    PROTEUS_RETURN_NOT_OK(plugin->CollectStats(stats));
+  // Manual Lock/Unlock (not MutexLock): the single-flight protocol drops the
+  // lock around the cold open below, and the thread-safety analysis checks
+  // that every return path balances.
+  mu_.Lock();
+  for (;;) {
+    auto it = open_.find(info.name);
+    if (it == open_.end()) break;  // cold: this thread opens
+    if (it->second != nullptr) {
+      InputPlugin* warm = it->second.get();
+      mu_.Unlock();
+      return warm;
+    }
+    opened_cv_.Wait(mu_);  // another thread is opening this dataset
   }
-  InputPlugin* raw = plugin.get();
-  open_.emplace(info.name, std::move(plugin));
+  open_.emplace(info.name, nullptr);
+  mu_.Unlock();
+
+  // Cold access: build the structural index, then gather statistics while
+  // I/O is warm (paper §5.2) — both fanned out over the scheduler.
+  std::unique_ptr<InputPlugin> plugin;
+  std::optional<DatasetStats> ds;
+  Status st = [&]() -> Status {
+    PROTEUS_ASSIGN_OR_RETURN(plugin, CreateInputPlugin(info));
+    {
+      obs::TraceSpan span(trace_, "structural_index");
+      PROTEUS_RETURN_NOT_OK(plugin->Open(scheduler_));
+      span.set_arg0("records", static_cast<int64_t>(plugin->NumRecords()));
+    }
+    if (stats == nullptr || stats->Find(info.name) != nullptr) return Status::OK();
+    OBS_SPAN(trace_, "collect_stats");
+    PROTEUS_ASSIGN_OR_RETURN(ds, plugin->ComputeStats(scheduler_));
+    return Status::OK();
+  }();
+
+  mu_.Lock();
+  auto it = open_.find(info.name);  // still our marker: Evict waits for us
+  if (!st.ok()) {
+    // Failures are not cached: waiters (and later lookups) retry.
+    open_.erase(it);
+    mu_.Unlock();
+    opened_cv_.NotifyAll();
+    return st;
+  }
+  if (ds.has_value()) stats->Publish(info.name, std::move(*ds));
+  it->second = std::move(plugin);
+  InputPlugin* raw = it->second.get();
+  mu_.Unlock();
+  opened_cv_.NotifyAll();
   return raw;
 }
 
 void PluginRegistry::Evict(const std::string& dataset) {
   MutexLock lk(mu_);
-  open_.erase(dataset);
+  for (;;) {
+    auto it = open_.find(dataset);
+    if (it == open_.end()) return;
+    if (it->second != nullptr) {
+      open_.erase(it);
+      return;
+    }
+    opened_cv_.Wait(mu_);
+  }
 }
 
 }  // namespace proteus

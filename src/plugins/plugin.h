@@ -19,6 +19,7 @@
 // binary data, structural-index helpers for CSV/JSON); see src/jit/.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,6 +31,11 @@
 #include "src/common/value.h"
 
 namespace proteus {
+
+class TaskScheduler;
+namespace obs {
+class TraceRecorder;
+}
 
 /// A dotted access path into a record, e.g. {"origin", "country"}.
 using FieldPath = std::vector<std::string>;
@@ -61,8 +67,11 @@ class InputPlugin {
   virtual const char* name() const = 0;
 
   /// Prepares the dataset for scanning; builds the structural index on the
-  /// first (cold) access for raw formats. Idempotent.
-  virtual Status Open() = 0;
+  /// first (cold) access for raw formats. Idempotent. Raw formats fan the
+  /// build out over `scheduler`'s workers (nullable: one chunk, inline);
+  /// the index is byte-identical at every worker count.
+  virtual Status Open(TaskScheduler* scheduler) = 0;
+  Status Open() { return Open(nullptr); }
 
   /// Number of records / "tuples"; valid after Open(). OIDs are [0, n).
   virtual uint64_t NumRecords() const = 0;
@@ -85,9 +94,16 @@ class InputPlugin {
   /// Appends the textual form of a field value to `out` (result flushing).
   virtual Status FlushValue(uint64_t oid, const FieldPath& path, std::string* out);
 
-  /// Collects dataset statistics into `store` (cardinality, min/max per
-  /// numeric leaf). Called on the cold access / by the idle daemon.
-  virtual Status CollectStats(StatsStore* store);
+  /// Gathers dataset statistics (cardinality; min/max/ndv per numeric
+  /// leaf), opening the plug-in first if needed. The default splits the
+  /// records into one chunk per `scheduler` worker (nullable: one chunk),
+  /// runs AccumulateStats per chunk in parallel and merges the chunks in
+  /// order, so the result is bit-identical at every worker count.
+  virtual Result<DatasetStats> ComputeStats(TaskScheduler* scheduler);
+
+  /// ComputeStats, then publishes the result into `store` in one step.
+  /// Called on the cold access / by the idle daemon.
+  Status CollectStats(StatsStore* store, TaskScheduler* scheduler = nullptr);
 
   /// Cost formula inputs used by the optimizer (paper: each plug-in provides
   /// costing for its data source). Units are abstract "work per tuple".
@@ -105,7 +121,34 @@ class InputPlugin {
   /// identical across thread counts, so morsel boundaries may depend only on
   /// the data, never on the worker count. Valid after Open().
   virtual std::vector<ScanRange> Split(uint64_t max_morsels) const;
+
+ protected:
+  /// Folds records [begin, end) into `acc[i]` for each numeric leaf
+  /// `leaves[i]` (null and absent values skipped). On a bad value, leaf i's
+  /// fold stops and `errors[i]` holds the failure of its lowest bad record —
+  /// ComputeStats reports the first one in (leaf, record) order, as a
+  /// leaf-by-leaf serial pass would. The default reads boxed values through
+  /// ReadValue; raw formats override it with a typed pass.
+  virtual void AccumulateStats(uint64_t begin, uint64_t end, const std::vector<FieldPath>& leaves,
+                               ColumnStatsAccumulator* acc, Status* errors);
 };
+
+/// Number of chunks a cold-open pass splits into: one per `scheduler`
+/// worker, or 1 without a scheduler.
+uint64_t OpenChunks(const TaskScheduler* scheduler);
+
+/// Runs `fn(chunk)` for every chunk in [0, n) on `scheduler`'s workers
+/// (inline when null). Chunks report failures through their own state, not
+/// by cancelling the batch: which chunks ran before a best-effort cancel is
+/// scheduling-dependent, and callers need the *first* failure in file order.
+Status ForEachChunk(TaskScheduler* scheduler, uint64_t n,
+                    const std::function<void(uint64_t)>& fn);
+
+/// Cuts bytes [begin, end) of `data` into `parts` ranges that each start
+/// right after a '\n' (or at `begin`), so every line lies in exactly one
+/// range. Returns `parts + 1` ascending cut offsets; ranges may be empty.
+std::vector<uint64_t> LineAlignedCuts(const char* data, uint64_t begin, uint64_t end,
+                                      uint64_t parts);
 
 /// Even record-count split of [0, n) into at most `max_morsels` contiguous
 /// ranges, the remainder spread over the first ranges. The default
@@ -128,21 +171,38 @@ std::vector<ScanRange> SplitByByteOffsets(const std::vector<uint64_t>& starts, u
 Result<std::unique_ptr<InputPlugin>> CreateInputPlugin(const DatasetInfo& info);
 
 /// Keeps plug-ins (and their structural indexes) alive across queries.
-/// GetOrOpen/Evict are mutex-guarded so pool workers can look up plug-ins
-/// concurrently; the parallel executor still pre-opens every scanned dataset
-/// before fanning out, keeping index construction (and its stats pass) on
-/// the submitting thread.
+/// Cold opens are single-flight per dataset: the first caller builds the
+/// index and gathers statistics with the registry lock released, while
+/// later callers for the same dataset wait for it to publish — so a slow
+/// open of one dataset never blocks a warm lookup of another. The parallel
+/// executor pre-opens every scanned dataset before fanning out; the open
+/// itself fans out over `scheduler` (the engine's pool, shared with query
+/// execution — no extra threads).
 class PluginRegistry {
  public:
-  /// Returns the opened plug-in for `info.name`, creating it on first use
-  /// (the cold access, where index construction and stats gathering happen).
-  Result<InputPlugin*> GetOrOpen(const DatasetInfo& info, StatsStore* stats);
+  /// `scheduler` runs the cold-open passes (nullable: inline, one chunk);
+  /// `trace` (nullable) receives a `structural_index` and a `collect_stats`
+  /// span per cold open, on the opening thread.
+  explicit PluginRegistry(TaskScheduler* scheduler = nullptr,
+                          obs::TraceRecorder* trace = nullptr)
+      : scheduler_(scheduler), trace_(trace) {}
 
-  /// Drops the plug-in (e.g. after an append invalidates its index).
-  void Evict(const std::string& dataset);
+  /// Returns the opened plug-in for `info.name`, creating it on first use
+  /// (the cold access, where index construction and stats gathering happen;
+  /// `stats` null skips the latter). Statistics are published at most once
+  /// per open, before the plug-in becomes visible to other callers.
+  Result<InputPlugin*> GetOrOpen(const DatasetInfo& info, StatsStore* stats) EXCLUDES(mu_);
+
+  /// Drops the plug-in (e.g. after an append invalidates its index). Waits
+  /// for an in-flight open of `dataset` to finish first.
+  void Evict(const std::string& dataset) EXCLUDES(mu_);
 
  private:
+  TaskScheduler* const scheduler_;
+  obs::TraceRecorder* const trace_;
   Mutex mu_;
+  CondVar opened_cv_;  ///< signalled whenever an in-flight open finishes
+  /// A null plug-in marks an open in flight.
   std::unordered_map<std::string, std::unique_ptr<InputPlugin>> open_ GUARDED_BY(mu_);
 };
 

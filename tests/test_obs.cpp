@@ -376,6 +376,18 @@ TEST(EngineTrace, JitQueryEmitsTheCoreSpans) {
   EXPECT_TRUE(cold.HasSpan("jit_compile"));
   EXPECT_TRUE(cold.HasSpan("ir_gen"));
   EXPECT_GE(cold.CountSpans("jit_morsel"), 1u);
+  // The cold open is no longer anonymous time: the structural index build
+  // and the statistics pass each get a span, inside the query's execution.
+  EXPECT_EQ(cold.CountSpans("structural_index"), 1u);
+  EXPECT_EQ(cold.CountSpans("collect_stats"), 1u);
+  double c_begin = 0, c_end = 0, o_begin = 0, o_end = 0;
+  ASSERT_TRUE(cold.TimeBounds("execute", &c_begin, &c_end));
+  ASSERT_TRUE(cold.TimeBounds("structural_index", &o_begin, &o_end));
+  EXPECT_GE(o_begin, c_begin);
+  EXPECT_LE(o_end, c_end + 1.0);  // 1 us slack for clock rounding
+  ASSERT_TRUE(cold.TimeBounds("collect_stats", &o_begin, &o_end));
+  EXPECT_GE(o_begin, c_begin);
+  EXPECT_LE(o_end, c_end + 1.0);
 
   // Warm run: the probe hits, no compile — and each execution Clear()s the
   // recorder, so the snapshot holds exactly this query.
@@ -383,6 +395,8 @@ TEST(EngineTrace, JitQueryEmitsTheCoreSpans) {
   obs::QueryTrace warm = engine->trace()->Snapshot();
   EXPECT_TRUE(warm.HasSpan("cache_probe"));
   EXPECT_FALSE(warm.HasSpan("jit_compile"));
+  EXPECT_FALSE(warm.HasSpan("structural_index"));
+  EXPECT_FALSE(warm.HasSpan("collect_stats"));
   EXPECT_GE(warm.CountSpans("jit_morsel"), 1u);
 
   // Reconciliation: every morsel ran inside the execute span, and their

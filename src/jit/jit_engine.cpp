@@ -1,16 +1,10 @@
 #include "src/jit/jit_engine.h"
 #include <cstdlib>
 
-#include <llvm/ExecutionEngine/Orc/CompileUtils.h>
-#include <llvm/ExecutionEngine/Orc/IRTransformLayer.h>
-#include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
-#include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/IR/IRBuilder.h>
 #include <llvm/IR/LLVMContext.h>
 #include <llvm/IR/Module.h>
 #include <llvm/IR/Verifier.h>
-#include <llvm/Passes/PassBuilder.h>
-#include <llvm/Support/TargetSelect.h>
 #include <llvm/Support/raw_ostream.h>
 
 #include <chrono>
@@ -24,6 +18,7 @@
 #include "src/plugins/csv_plugin.h"
 #include "src/plugins/json_plugin.h"
 #include "src/jit/ir_verifier.h"
+#include "src/jit/jit_session.h"
 #include "src/jit/query_cache.h"
 #include "src/jit/runtime.h"
 #include "src/obs/trace.h"
@@ -34,15 +29,6 @@ namespace {
 
 using jit::MorselCtx;
 using jit::QueryRuntime;
-
-void InitLLVMOnce() {
-  static bool done = [] {
-    llvm::InitializeNativeTarget();
-    llvm::InitializeNativeTargetAsmPrinter();
-    return true;
-  }();
-  (void)done;
-}
 
 /// A value in a virtual buffer: primitive kinds only; strings carry ptr+len.
 struct CgValue {
@@ -109,7 +95,11 @@ class Codegen {
         params_(params),
         llctx_(std::make_unique<llvm::LLVMContext>()),
         module_(std::make_unique<llvm::Module>("proteus_query", *llctx_)),
-        b_(*llctx_) {}
+        b_(*llctx_) {
+    // Optimize under the layout codegen will use, not LLVM's default one.
+    module_->setDataLayout(jit::JitSession::Get().data_layout());
+    module_->setTargetTriple(jit::JitSession::Get().target_triple());
+  }
 
   /// Legacy whole-relation compilation: one proteus_query(ctx) function that
   /// runs the entire plan in a single call. Kept for plan shapes the morsel
@@ -127,8 +117,9 @@ class Codegen {
   /// same FinalizePlanPartials fold the interpreter uses.
   Status CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe);
 
-  std::unique_ptr<llvm::Module> TakeModule() { return std::move(module_); }
-  std::unique_ptr<llvm::LLVMContext> TakeContext() { return std::move(llctx_); }
+  /// The generated module. It stays owned here so that it is destroyed
+  /// before its LLVMContext.
+  llvm::Module& module() { return *module_; }
   std::string DumpIR() const {
     std::string s;
     llvm::raw_string_ostream os(s);
@@ -2204,42 +2195,18 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
   return Status::OK();
 }
 
-/// Runs the standard pass pipeline at `level` over `m` (mem2reg/SROA
-/// promotes the virtual buffers to registers, the rest fuses the pipeline
-/// into tight loops).
-void RunPassPipeline(llvm::Module& m, llvm::OptimizationLevel level) {
-  llvm::PassBuilder pb;
-  llvm::LoopAnalysisManager lam;
-  llvm::FunctionAnalysisManager fam;
-  llvm::CGSCCAnalysisManager cam;
-  llvm::ModuleAnalysisManager mam;
-  pb.registerModuleAnalyses(mam);
-  pb.registerCGSCCAnalyses(cam);
-  pb.registerFunctionAnalyses(fam);
-  pb.registerLoopAnalyses(lam);
-  pb.crossRegisterProxies(lam, fam, cam, mam);
-  auto mpm = pb.buildPerModuleDefaultPipeline(level);
-  mpm.run(m, mam);
-}
-
-/// Generates, optimizes, and links `plan` into a position-independent
-/// jit::CompiledModule (parameter table + runtime layout instead of baked
-/// constants) that the CompiledQueryCache can reuse across executions,
-/// threads, and shards. With `pipe`, compiles in morsel mode (proteus_build
-/// + proteus_pipeline); without, legacy whole-relation mode (proteus_query).
-///
-/// `tier` selects the compile pipeline. Tier 1 — every foreground path —
-/// optimizes inline at O2 and links through a default LLJIT. Tier 2 — the
-/// background recompile of a proven-hot signature — builds its LLJIT around
-/// an ORC ConcurrentIRCompiler whose target machine codegens at
-/// CodeGenOpt::Aggressive, and defers IR optimization to an O3
-/// IRTransformLayer transform on the materialization path. Entry points and
-/// results are identical across tiers; only the machine code differs.
+/// Generates `plan` and compiles it on the process-wide jit::JitSession into
+/// a position-independent jit::CompiledModule (parameter table + runtime
+/// layout instead of baked constants) that the CompiledQueryCache can reuse
+/// across executions, threads, and shards. With `pipe`, compiles in morsel
+/// mode (proteus_build + proteus_pipeline + proteus_drain<k>); without,
+/// legacy whole-relation mode (proteus_query). `tier` picks the session's
+/// (pass pipeline, TargetMachine) pair; entry points and results are
+/// identical across tiers, only the machine code differs.
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecContext& ctx,
                                                                   const OpPtr& plan,
                                                                   const MorselPipeline* pipe,
                                                                   int tier = 1) {
-  InitLLVMOnce();
   OBS_SPAN(ctx.trace, "jit_compile", "tier", tier);
   auto out = std::make_shared<jit::CompiledModule>();
   out->tier = tier;
@@ -2258,80 +2225,35 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
   out->row_records = cg.row_records();
   out->params = param_table.Take();
 
-  auto module = cg.TakeModule();
-  auto llctx = cg.TakeContext();
-
   // Contract verification runs on the raw codegen output (before the pass
   // pipeline rewrites it): the param-table GEPs and runtime-call shapes the
   // verifier reasons about are exactly what Codegen emitted.
   if (ctx.verify_ir) {
     OBS_SPAN(ctx.trace, "ir_verify");
-    PROTEUS_RETURN_NOT_OK(
-        jit::VerifyGeneratedModule(*module, out->params.size()));
+    PROTEUS_RETURN_NOT_OK(jit::VerifyGeneratedModule(cg.module(), out->params.size()));
     out->ir_verified = true;
   }
 
-  if (tier < 2) RunPassPipeline(*module, llvm::OptimizationLevel::O2);
-
-  llvm::orc::LLJITBuilder builder;
-  if (tier >= 2) {
-    builder.setCompileFunctionCreator(
-        [](llvm::orc::JITTargetMachineBuilder jtmb)
-            -> llvm::Expected<std::unique_ptr<llvm::orc::IRCompileLayer::IRCompiler>> {
-          jtmb.setCodeGenOptLevel(llvm::CodeGenOpt::Aggressive);
-          return std::make_unique<llvm::orc::ConcurrentIRCompiler>(std::move(jtmb));
-        });
-  }
-  auto jit_or = builder.create();
-  if (!jit_or) {
-    return Status::Internal("jit: LLJIT creation failed: " +
-                            llvm::toString(jit_or.takeError()));
-  }
-  out->jit = std::move(*jit_or);
-  if (tier >= 2) {
-    out->jit->getIRTransformLayer().setTransform(
-        [](llvm::orc::ThreadSafeModule tsm, const llvm::orc::MaterializationResponsibility&)
-            -> llvm::Expected<llvm::orc::ThreadSafeModule> {
-          tsm.withModuleDo(
-              [](llvm::Module& m) { RunPassPipeline(m, llvm::OptimizationLevel::O3); });
-          return std::move(tsm);
-        });
-  }
-
-  llvm::orc::SymbolMap symbols;
-  for (const auto& [name, addr] : jit::RuntimeSymbols()) {
-    symbols[out->jit->mangleAndIntern(name)] = llvm::JITEvaluatedSymbol(
-        llvm::pointerToJITTargetAddress(addr),
-        llvm::JITSymbolFlags::Exported | llvm::JITSymbolFlags::Callable);
-  }
-  if (auto err = out->jit->getMainJITDylib().define(llvm::orc::absoluteSymbols(symbols))) {
-    return Status::Internal("jit: symbol registration failed: " +
-                            llvm::toString(std::move(err)));
-  }
-  if (auto err = out->jit->addIRModule(
-          llvm::orc::ThreadSafeModule(std::move(module), std::move(llctx)))) {
-    return Status::Internal("jit: addIRModule failed: " + llvm::toString(std::move(err)));
-  }
-  auto lookup = [&](const char* name) -> Result<void*> {
-    auto sym = out->jit->lookup(name);
-    if (!sym) {
-      return Status::Internal("jit: lookup failed: " + llvm::toString(sym.takeError()));
-    }
-    return reinterpret_cast<void*>(sym->getAddress());
-  };
+  std::vector<std::string> entry_points;
   if (pipe != nullptr) {
-    PROTEUS_ASSIGN_OR_RETURN(void* b, lookup("proteus_build"));
-    PROTEUS_ASSIGN_OR_RETURN(void* p, lookup("proteus_pipeline"));
-    out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(b);
-    out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(p);
     out->outer_join_tables = cg.outer_join_tables();
+    entry_points = {"proteus_build", "proteus_pipeline"};
     for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
-      PROTEUS_ASSIGN_OR_RETURN(void* d, lookup(("proteus_drain" + std::to_string(k)).c_str()));
-      out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(d));
+      entry_points.push_back("proteus_drain" + std::to_string(k));
     }
   } else {
-    PROTEUS_ASSIGN_OR_RETURN(void* q, lookup("proteus_query"));
-    out->query_fn = reinterpret_cast<jit::CompiledModule::QueryFn>(q);
+    entry_points = {"proteus_query"};
+  }
+  PROTEUS_ASSIGN_OR_RETURN(out->code, jit::JitSession::Get().Compile(cg.module(), tier,
+                                                                     entry_points, ctx.trace));
+  if (pipe != nullptr) {
+    out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(out->code->entry(0));
+    out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(out->code->entry(1));
+    for (size_t k = 2; k < entry_points.size(); ++k) {
+      out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(out->code->entry(k)));
+    }
+  } else {
+    out->query_fn = reinterpret_cast<jit::CompiledModule::QueryFn>(out->code->entry(0));
   }
   return std::shared_ptr<const jit::CompiledModule>(std::move(out));
 }

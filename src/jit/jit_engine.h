@@ -5,8 +5,11 @@
 // operators fuse into their parent's loop body, and blocking operators
 // (radix-join build, nest) split the emission into consecutive pipelines.
 // Field values live in virtual buffers (allocas) that LLVM's mem2reg
-// promotes to CPU registers. The IR is optimized and compiled to machine
-// code by ORC LLJIT within milliseconds, then run.
+// promotes to CPU registers. The module is then optimized, compiled to
+// machine code and linked on the process-wide jit::JitSession
+// (src/jit/jit_session.h) within milliseconds, and run: one shared ORC
+// session, one JITDylib per module (freed with the module), and a tier that
+// only picks the pass pipeline and the target machine.
 //
 // Morsel-parallelizable plans compile to *range-parameterized* pipelines:
 // proteus_build(ctx) runs shared join builds once, then the scheduler
@@ -78,14 +81,14 @@ namespace jit {
 /// the same key.
 QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, CodegenMode mode);
 
-/// Compiles `plan` to a ready CompiledModule without consulting any cache.
-/// `tier` selects the optimization pipeline: 1 = the default O2 compile
-/// (what every foreground path uses), 2 = the aggressive background
-/// recompile — CodeGenOpt::Aggressive codegen on an ORC ConcurrentIRCompiler
-/// plus an O3 IRTransformLayer pass — that the tiered controller requests
-/// once a signature proves hot. kMorsel mode collects the plan's pipeline
-/// chain itself; returns Unimplemented for plans outside the generated fast
-/// path.
+/// Compiles `plan` to a ready CompiledModule without consulting any cache,
+/// on the shared jit::JitSession. `tier` selects the (pass pipeline, target
+/// machine) pair: 1 = the fixed lean function-pass list on a
+/// CodeGenOpt::Default machine (what every foreground path uses), 2 = O3 on
+/// a CodeGenOpt::Aggressive machine — the background recompile the tiered
+/// controller requests once a signature proves hot. kMorsel mode collects
+/// the plan's pipeline chain itself; returns Unimplemented for plans outside
+/// the generated fast path.
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
                                                           const OpPtr& plan, CodegenMode mode,
                                                           int tier);

@@ -1,12 +1,11 @@
 #include "src/jit/query_cache.h"
 
-#include <llvm/ExecutionEngine/Orc/LLJIT.h>
-
 #include <chrono>
 #include <sstream>
 
 #include "src/common/hash.h"
 #include "src/engine/interp.h"
+#include "src/jit/jit_session.h"
 #include "src/jit/runtime.h"
 #include "src/obs/trace.h"
 #include "src/plugins/binary_plugins.h"

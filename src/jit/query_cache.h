@@ -39,12 +39,6 @@
 #include "src/common/status.h"
 #include "src/plugins/plugin.h"
 
-namespace llvm {
-namespace orc {
-class LLJIT;
-}  // namespace orc
-}  // namespace llvm
-
 namespace proteus {
 
 struct CacheBlock;
@@ -56,6 +50,7 @@ class TraceRecorder;
 
 namespace jit {
 
+class LinkedCode;
 struct QueryRuntime;
 
 /// Which entry points a module was generated with. Whole-relation and
@@ -151,12 +146,15 @@ struct RuntimeLayout {
 /// (scheduler/result state untouched).
 void InitRuntimeFromLayout(const RuntimeLayout& layout, QueryRuntime* rt);
 
-/// A compiled-and-linked query engine: the LLJIT instance owning the machine
-/// code, the resolved entry points, codegen metadata, and everything needed
-/// to re-bind it to fresh data (layout + parameter descriptors). Immutable
-/// after compilation — all mutable execution state lives in the per-run
+/// A compiled-and-linked query engine: the handle to its machine code (a
+/// JITDylib of the process-wide jit::JitSession, removed — code freed — when
+/// the last reference to this module drops, e.g. after LRU eviction), the
+/// resolved entry points, codegen metadata, and everything needed to re-bind
+/// it to fresh data (layout + parameter descriptors). Immutable after
+/// compilation — all mutable execution state lives in the per-run
 /// QueryRuntime / MorselCtx / parameter vector, which is what makes one
-/// module shareable across executions, threads, and shards.
+/// module shareable across executions, threads, and shards, and lets it
+/// outlive the engine that compiled it.
 struct CompiledModule {
   CompiledModule();
   ~CompiledModule();
@@ -173,12 +171,13 @@ struct CompiledModule {
   /// instruction stream, so cached modules stay position-independent.
   using DrainFn = void (*)(void*, void*, const uint8_t*, const int64_t*);
 
-  std::unique_ptr<llvm::orc::LLJIT> jit;  ///< owns the machine code
-  /// Optimization tier this module was compiled at: 1 = the default pipeline
-  /// (O2, the cold/tier-1 compile), 2 = the aggressive background recompile
-  /// (CodeGenOpt::Aggressive + O3 transform layer) the tiered controller
-  /// requests once the cache proves a signature hot. Same entry points, same
-  /// results — only the machine code differs.
+  std::unique_ptr<LinkedCode> code;  ///< owns the machine code
+  /// Optimization tier this module was compiled at: 1 = the lean fixed pass
+  /// list on a CodeGenOpt::Default target machine (every foreground
+  /// compile), 2 = O3 on a CodeGenOpt::Aggressive one (the background
+  /// recompile the tiered controller requests once the cache proves a
+  /// signature hot). Same session, same entry points, same results — only
+  /// the machine code differs.
   int tier = 1;
   std::vector<std::string> columns;
   bool row_records = false;

@@ -376,6 +376,18 @@ TEST(EngineTrace, JitQueryEmitsTheCoreSpans) {
   EXPECT_TRUE(cold.HasSpan("jit_compile"));
   EXPECT_TRUE(cold.HasSpan("ir_gen"));
   EXPECT_GE(cold.CountSpans("jit_morsel"), 1u);
+  // The LLVM side of the compile is split into its phases, each nested in
+  // the one jit_compile span of this query.
+  ASSERT_EQ(cold.CountSpans("jit_compile"), 1u);
+  double j_begin = 0, j_end = 0;
+  ASSERT_TRUE(cold.TimeBounds("jit_compile", &j_begin, &j_end));
+  for (const char* phase : {"ir_gen", "llvm_opt", "llvm_codegen", "jit_link"}) {
+    EXPECT_EQ(cold.CountSpans(phase), 1u) << phase;
+    double p_begin = 0, p_end = 0;
+    ASSERT_TRUE(cold.TimeBounds(phase, &p_begin, &p_end)) << phase;
+    EXPECT_GE(p_begin, j_begin) << phase;
+    EXPECT_LE(p_end, j_end + 1.0) << phase;  // 1 us slack for clock rounding
+  }
   // The cold open is no longer anonymous time: the structural index build
   // and the statistics pass each get a span, inside the query's execution.
   EXPECT_EQ(cold.CountSpans("structural_index"), 1u);
@@ -395,6 +407,9 @@ TEST(EngineTrace, JitQueryEmitsTheCoreSpans) {
   obs::QueryTrace warm = engine->trace()->Snapshot();
   EXPECT_TRUE(warm.HasSpan("cache_probe"));
   EXPECT_FALSE(warm.HasSpan("jit_compile"));
+  for (const char* phase : {"ir_gen", "llvm_opt", "llvm_codegen", "jit_link"}) {
+    EXPECT_FALSE(warm.HasSpan(phase)) << phase << " on a cache hit";
+  }
   EXPECT_FALSE(warm.HasSpan("structural_index"));
   EXPECT_FALSE(warm.HasSpan("collect_stats"));
   EXPECT_GE(warm.CountSpans("jit_morsel"), 1u);

@@ -3,14 +3,21 @@
 // hit; structurally different plans must miss), epoch invalidation after
 // catalog / caching-manager mutation, shard sharing (N shards -> exactly one
 // compile), and cell-identity of cached vs freshly compiled executions
-// across num_threads and num_shards in {1, 2, 4}.
+// across num_threads and num_shards in {1, 2, 4}. The JitSession suite pins
+// the machine-code lifecycle on the process-wide JIT session: live modules
+// follow the cache, handles outlive engines, engines compile concurrently,
+// and tier 2 really codegens on the aggressive target machine.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "src/jit/jit_engine.h"
+#include "src/jit/jit_session.h"
 #include "src/jit/query_cache.h"
+#include "src/jit/tiered_compiler.h"
+#include "src/optimizer/optimizer.h"
 #include "tests/engine_test_util.h"
 
 namespace proteus {
@@ -387,6 +394,185 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
       << "caching-manager mutation must invalidate";
   EXPECT_GT(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, rebuilt, "caching engine rebuilt");
+}
+
+// ---------------------------------------------------------------------------
+// Machine-code lifecycle on the process-wide JIT session
+// ---------------------------------------------------------------------------
+
+/// A distinct plan signature per `n`: the literal is part of the signature.
+std::string DriftQuery(int n) {
+  return "SELECT count(*), sum(l_extendedprice) FROM lineitem_bincol WHERE l_orderkey < " +
+         std::to_string(n);
+}
+
+ExecContext ContextOf(QueryEngine& engine) {
+  ExecContext ctx;
+  ctx.catalog = &engine.catalog();
+  ctx.plugins = &engine.plugins();
+  ctx.caches = &engine.caches();
+  ctx.scheduler = &engine.scheduler();
+  ctx.jit_cache = engine.jit_cache();
+  ctx.morsel_rows = kMorselRows;
+  return ctx;
+}
+
+OpPtr ScanReducePlan(QueryEngine& engine) {
+  OpPtr scan = Operator::Scan("lineitem_json", "l");
+  OpPtr plan = Operator::Reduce(
+      scan, {{Monoid::kCount, nullptr, "n"},
+             {Monoid::kMax, Expr::Proj(Expr::Var("l"), "l_quantity"), "m"}});
+  EXPECT_TRUE(Optimizer(engine.catalog()).TypeCheckPlan(plan).ok());
+  return plan;
+}
+
+// Generated modules carry the host layout, so the pass pipeline optimizes
+// under the layout codegen uses.
+TEST(JitSession, ModulesCarryTheHostDataLayoutAndTriple) {
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  MustRun(&engine, kAggQuery);
+  ASSERT_TRUE(engine.telemetry().used_jit);
+  const std::string ir = engine.last_ir();
+  EXPECT_NE(ir.find("target datalayout = \""), std::string::npos) << ir;
+  EXPECT_NE(ir.find("target triple = \"" + jit::JitSession::Get().target_triple() + "\""),
+            std::string::npos)
+      << ir;
+}
+
+// Eviction frees machine code: past a small cache's capacity, the session
+// holds exactly the cache's live entries, and nothing once the engine is gone.
+TEST(JitSession, LiveModulesFollowTheCache) {
+  jit::JitSession& session = jit::JitSession::Get();
+  const int64_t baseline = session.live_modules();
+  {
+    QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/2);
+    testutil::RegisterAll(&engine);
+    for (int n = 10; n < 16; ++n) MustRun(&engine, DriftQuery(n));
+    ASSERT_EQ(engine.jit_cache()->stats().compiles, 6u);
+    EXPECT_EQ(engine.jit_cache()->stats().evictions, 4u);
+    EXPECT_EQ(session.live_modules() - baseline,
+              static_cast<int64_t>(engine.jit_cache()->size()));
+  }
+  EXPECT_EQ(session.live_modules(), baseline);
+}
+
+// A module is independent of the engine that compiled it: held past that
+// engine's destruction, it still runs (bound to another engine's data) and
+// then tears down cleanly.
+TEST(JitSession, ModuleOutlivesItsEngine) {
+  jit::JitSession& session = jit::JitSession::Get();
+  const int64_t baseline = session.live_modules();
+  std::shared_ptr<const jit::CompiledModule> held;
+  QueryResult reference;
+  OpPtr plan;
+  {
+    QueryEngine engine = MakeEngine();
+    testutil::RegisterAll(&engine);
+    plan = ScanReducePlan(engine);
+    const ExecContext ctx = ContextOf(engine);
+    JitExecutor executor(ctx);
+    auto r = executor.ExecuteParallel(plan, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(executor.last_cache_hit());
+    reference = std::move(*r);
+    held = engine.jit_cache()->TryGet(jit::MakeQueryCacheKey(ctx, plan, jit::CodegenMode::kMorsel));
+    ASSERT_NE(held, nullptr);
+    ASSERT_EQ(held, executor.last_module());
+  }
+  EXPECT_EQ(session.live_modules() - baseline, 1) << "the held module is the only one left";
+  {
+    QueryEngine engine = MakeEngine();
+    testutil::RegisterAll(&engine);
+    const ExecContext ctx = ContextOf(engine);
+    ASSERT_TRUE(engine.jit_cache()->Promote(
+        jit::MakeQueryCacheKey(ctx, plan, jit::CodegenMode::kMorsel), held));
+    JitExecutor executor(ctx);
+    auto r = executor.ExecuteParallel(plan, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(executor.last_cache_hit());
+    EXPECT_EQ(executor.last_module(), held) << "the outliving module must be what ran";
+    EXPECT_EQ(engine.jit_cache()->stats().compiles, 0u);
+    ExpectIdentical(reference, *r, "module run after its engine's destruction");
+  }
+  EXPECT_EQ(session.live_modules() - baseline, 1);
+  held.reset();
+  EXPECT_EQ(session.live_modules(), baseline);
+}
+
+// Two engines compile different signatures at the same time through the
+// one session: every result matches the interpreter's, cell for cell.
+TEST(JitSession, ConcurrentEnginesCompileDifferentSignatures) {
+  constexpr int kQueriesPerEngine = 6;
+  std::vector<QueryResult> reference;
+  {
+    QueryEngine interp = MakeEngine();
+    interp.set_mode(ExecMode::kInterp);
+    testutil::RegisterAll(&interp);
+    for (int i = 0; i < 2 * kQueriesPerEngine; ++i) {
+      reference.push_back(MustRun(&interp, DriftQuery(10 + i)));
+    }
+  }
+  const int64_t baseline = jit::JitSession::Get().live_modules();
+  std::vector<QueryResult> got(reference.size());
+  std::vector<int> jit_runs(2, 0);
+  auto drive = [&](int engine_id) {
+    QueryEngine engine = MakeEngine();
+    testutil::RegisterAll(&engine);
+    for (int q = 0; q < kQueriesPerEngine; ++q) {
+      const int i = 2 * q + engine_id;  // the engines never share a signature
+      QueryTelemetry tel;
+      CallOptions call;
+      call.telemetry = &tel;
+      auto r = engine.Execute(DriftQuery(10 + i), call);
+      if (r.ok()) got[i] = std::move(*r);
+      if (tel.used_jit && !tel.jit_cache_hit) ++jit_runs[engine_id];
+    }
+  };
+  std::thread a(drive, 0);
+  std::thread b(drive, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(jit_runs[0], kQueriesPerEngine);
+  EXPECT_EQ(jit_runs[1], kQueriesPerEngine);
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ExpectIdentical(reference[i], got[i], DriftQuery(10 + static_cast<int>(i)));
+  }
+  EXPECT_EQ(jit::JitSession::Get().live_modules(), baseline);
+}
+
+// Tier 2 differs from tier 1 only in (pass pipeline, target machine): the
+// promoted module is codegen'd on the CodeGenOpt::Aggressive machine, and
+// serves cell-identical results behind the same key.
+TEST(JitSession, TierTwoPromotionUsesTheAggressiveTargetMachine) {
+  jit::JitSession& session = jit::JitSession::Get();
+  EngineOptions opts;
+  opts.mode = ExecMode::kJIT;
+  opts.num_threads = 2;
+  opts.morsel_rows = kMorselRows;
+  opts.collect_stats_on_cold_access = false;
+  opts.tiered = true;
+  opts.tiered_opts.tier2_hit_threshold = 2;
+  QueryEngine engine(opts);
+  testutil::RegisterAll(&engine);
+
+  const uint64_t aggressive_before = session.aggressive_codegens();
+  QueryResult cold = MustRun(&engine, kAggQuery);
+  engine.tiered_compiler()->Drain();
+  EXPECT_EQ(session.aggressive_codegens(), aggressive_before)
+      << "tier 1 must codegen on the default target machine";
+
+  MustRun(&engine, kAggQuery);
+  MustRun(&engine, kAggQuery);
+  engine.tiered_compiler()->Drain();
+  ASSERT_GE(engine.jit_cache()->stats().promotions, 1u);
+  EXPECT_EQ(session.aggressive_codegens(), aggressive_before + 1)
+      << "the tier-2 recompile must codegen on the aggressive target machine";
+
+  QueryResult promoted = MustRun(&engine, kAggQuery);
+  EXPECT_EQ(engine.telemetry().compile_tier, 2);
+  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
+  ExpectIdentical(cold, promoted, "tier-1 vs tier-2 module");
 }
 
 }  // namespace

@@ -52,7 +52,22 @@ struct TieredColdRunResult {
   double total_ms = 0;         ///< full execution wall time, compile overlapped
 };
 
+/// Smallest corpus on which the tiered variants are meaningful: below it a
+/// cold query finishes on the interpreter before any background compile can
+/// land, so the swap check below would abort on a healthy engine.
+constexpr uint64_t kTieredMinOrders = 2000;
+
 TieredColdRunResult TieredColdRun(const std::string& q) {
+  if (BenchOrders() < kTieredMinOrders) {
+    fprintf(stderr,
+            "tiered bench: PROTEUS_BENCH_ORDERS=%llu is below the tiered variants' floor "
+            "of %llu orders (the query would finish before its background compile "
+            "lands); rerun with PROTEUS_BENCH_ORDERS>=%llu or filter out tiered/*\n",
+            static_cast<unsigned long long>(BenchOrders()),
+            static_cast<unsigned long long>(kTieredMinOrders),
+            static_cast<unsigned long long>(kTieredMinOrders));
+    std::exit(2);
+  }
   // Whether the compile lands mid-query is an OS-scheduling race on busy or
   // single-CPU runners; retry a few times so one unlucky interleaving doesn't
   // abort, while a *structurally* broken swap path (never lands on any

@@ -101,9 +101,15 @@ class Operator {
   const std::string& group_name() const { return group_name_; }
 
   /// Pushed-down projection for scans (set by the optimizer; the input
-  /// plug-in extracts only these fields).
+  /// plug-in extracts only these fields). The optimizer expands whole-record
+  /// uses into every field, so once set an empty list means the scan needs
+  /// no field at all (e.g. count(*)); a scan never projected reads all.
   const std::vector<FieldPath>& scan_fields() const { return scan_fields_; }
-  void set_scan_fields(std::vector<FieldPath> f) { scan_fields_ = std::move(f); }
+  bool scan_fields_set() const { return scan_fields_set_; }
+  void set_scan_fields(std::vector<FieldPath> f) {
+    scan_fields_ = std::move(f);
+    scan_fields_set_ = true;
+  }
 
   /// Equi-join keys extracted by the optimizer for the radix hash join.
   const ExprPtr& left_key() const { return left_key_; }
@@ -153,6 +159,7 @@ class Operator {
   ExprPtr group_by_;                // kNest
   std::string group_name_;          // kNest
   std::vector<FieldPath> scan_fields_;
+  bool scan_fields_set_ = false;
   ExprPtr left_key_, right_key_;    // kJoin (optimizer)
   JoinStrategy join_strategy_ = JoinStrategy::kShared;  // kJoin (optimizer)
   uint64_t cache_id_ = 0;           // kCacheScan

@@ -102,7 +102,7 @@ OpPtr CachingManager::RewriteWithCaches(OpPtr plan, const Catalog& catalog) cons
       if (leaf->is_numeric()) return plan;  // cache too narrow: keep raw scan
     }
     OpPtr cs = Operator::CacheScan(b->id, plan->binding(), b->signature, plan->dataset());
-    cs->set_scan_fields(plan->scan_fields());
+    if (plan->scan_fields_set()) cs->set_scan_fields(plan->scan_fields());
     return cs;
   }
   if (plan->kind() == OpKind::kCacheScan) return plan;

@@ -46,7 +46,7 @@ class ScanCursor : public Cursor {
     PROTEUS_ASSIGN_OR_RETURN(const DatasetInfo* info, ctx_.catalog->Get(op_.dataset()));
     PROTEUS_ASSIGN_OR_RETURN(plugin_, ctx_.plugins->GetOrOpen(*info, ctx_.stats));
     fields_ = op_.scan_fields();
-    if (fields_.empty()) {
+    if (!op_.scan_fields_set()) {
       for (const auto& f : info->record_type().fields()) fields_.push_back({f.name});
     }
     n_ = std::min(plugin_->NumRecords(), range_.end);
@@ -152,9 +152,10 @@ class CacheScanCursor : public Cursor {
 
   Status Open() override {
     PROTEUS_ASSIGN_OR_RETURN(block_, ResolveCacheBlock(ctx_, op_.cache_id()));
-    // Fields the plan needs; fall back to everything the block holds.
+    // Fields the plan needs; an unprojected scan reads everything the
+    // block holds.
     fields_ = op_.scan_fields();
-    if (fields_.empty()) {
+    if (!op_.scan_fields_set()) {
       for (const auto& c : block_->cols) {
         if (c.path != FieldPath{"$oid"}) fields_.push_back(c.path);
       }

@@ -8,7 +8,10 @@
 #include <llvm/Support/raw_ostream.h>
 
 #include <chrono>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -45,6 +48,24 @@ struct CgValue {
   /// there, the engine's long-standing generated-code semantics.
   llvm::Value* null = nullptr;
 };
+
+/// Start bits of a scalar monoid fold over `kind` registers (kInt64,
+/// kFloat64, or kBool for and/or): the identity the first row combines
+/// with. A double's bits are its IEEE pattern.
+int64_t FoldInitBits(Monoid m, TypeKind kind) {
+  if (kind == TypeKind::kFloat64) {
+    double d = 0;
+    if (m == Monoid::kMax) d = -std::numeric_limits<double>::infinity();
+    if (m == Monoid::kMin) d = std::numeric_limits<double>::infinity();
+    int64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+  }
+  if (kind == TypeKind::kBool) return m == Monoid::kAnd ? 1 : 0;
+  if (m == Monoid::kMax) return std::numeric_limits<int64_t>::min();
+  if (m == Monoid::kMin) return std::numeric_limits<int64_t>::max();
+  return 0;
+}
 
 struct ScanSource {
   DataFormat format;
@@ -166,6 +187,19 @@ class Codegen {
   Status EmitScalarReduce(const OpPtr& reduce, bool to_sink);
   Status EmitMorselRoot(const OpPtr& reduce, const Operator* nest);
   Status EmitNestMorsel(const Operator& nest);
+  /// Emits Nest `op`'s input pipeline and its per-row fold into the
+  /// TypedGroupTable* `groups`: one key upsert per grouped row, then each
+  /// output's accumulator bits and contributing-row count updated in place
+  /// with EmitScalarReduce's init values, operation order and null skipping.
+  /// Fills `spec` from the emitted kinds on the first emission and checks
+  /// later ones (a Nest emits once per pipeline or drain function) against
+  /// it. A nullable key is Unimplemented unless `null_keys`.
+  Status EmitNestFold(const Operator& op, llvm::Value* groups, bool null_keys,
+                      std::optional<TypedGroupSpec>* spec);
+  /// One step of a scalar monoid fold over `kind` registers (kInt64,
+  /// kFloat64, or kBool for and/or) — shared by EmitScalarReduce and
+  /// EmitNestFold. Count is an add of 1 and never reaches here.
+  llvm::Value* FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x);
 
   Result<CgValue> EmitExpr(const ExprPtr& e);
   Result<CgValue> EmitBinary(const ExprPtr& e);
@@ -738,7 +772,7 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
   const std::string& var = op->binding();
   const ScanSource& src = sources_.at(var);
   std::vector<FieldPath> fields = op->scan_fields();
-  if (fields.empty()) {
+  if (!op->scan_fields_set()) {
     for (const auto& f : var_types_.at(var)->fields()) {
       if (f.type->is_primitive()) fields.push_back({f.name});
     }
@@ -922,7 +956,7 @@ Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
   const CacheBlock* blk = src.cache.get();
 
   std::vector<FieldPath> fields = op->scan_fields();
-  if (fields.empty()) {
+  if (!op->scan_fields_set()) {
     for (const auto& c : blk->cols) {
       if (c.path != FieldPath{"$oid"}) fields.push_back(c.path);
     }
@@ -1498,170 +1532,191 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
 // ---------------------------------------------------------------------------
 
 Status Codegen::EmitNest(const OpPtr& op, const Consume& consume) {
-  // Agg slot layout + init values.
-  TypeEnv env;  // key/agg expr types were annotated by the optimizer
-  std::vector<TypeKind> slot_kinds;
-  std::vector<int64_t> init;
-  for (const auto& o : op->outputs()) {
-    TypeKind k = TypeKind::kInt64;
-    if (o.monoid != Monoid::kCount) {
-      if (!o.expr->type()) return Status::Internal("jit: un-typechecked nest output");
-      k = o.expr->type()->kind() == TypeKind::kFloat64 ? TypeKind::kFloat64 : TypeKind::kInt64;
-    }
-    slot_kinds.push_back(k);
-    int64_t zero = 0;
-    if (o.monoid == Monoid::kMax) {
-      if (k == TypeKind::kFloat64) {
-        double d = -std::numeric_limits<double>::infinity();
-        std::memcpy(&zero, &d, 8);
-      } else {
-        zero = std::numeric_limits<int64_t>::min();
-      }
-    } else if (o.monoid == Monoid::kMin) {
-      if (k == TypeKind::kFloat64) {
-        double d = std::numeric_limits<double>::infinity();
-        std::memcpy(&zero, &d, 8);
-      } else {
-        zero = std::numeric_limits<int64_t>::max();
-      }
-    }
-    init.push_back(zero);
-  }
-
-  if (!op->group_by()->type()) return Status::Internal("jit: un-typechecked group key");
-  TypeKind key_kind = op->group_by()->type()->kind();
-  bool string_keys = key_kind == TypeKind::kString;
-  // Float keys round-trip through the int64 key slot as their raw bit
-  // pattern — grouping on bit equality, which the emission loop bitcasts
-  // back to a double binding.
-  bool float_keys = key_kind == TypeKind::kFloat64;
-  uint32_t table = layout_->AddGroup(string_keys, init);
   auto* i8p = b_.getInt8PtrTy();
-  auto* i64p = b_.getInt64Ty()->getPointerTo();
-  llvm::Value* table_v = b_.getInt32(table);
-
-  // ---- aggregation pipeline ----
-  PROTEUS_RETURN_NOT_OK(EmitProduce(op->child(0), [&]() -> Status {
-    Consume update = [&]() -> Status {
-      PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op->group_by()));
-      if (key.null != nullptr) {
-        // The packed int64/string group table cannot represent a null key;
-        // only morsel-mode nests (boxed-Value group tables) can.
-        return Status::Unimplemented("jit: nullable group key outside morsel pipelines");
-      }
-      llvm::Value* slots;
-      if (string_keys) {
-        slots = b_.CreateCall(Helper("proteus_group_upsert_str", i64p,
-                                     {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                              {CtxPtr(), table_v, key.v, key.len});
-      } else {
-        llvm::Value* k64;
-        if (key.kind == TypeKind::kBool) {
-          k64 = b_.CreateZExt(key.v, b_.getInt64Ty());
-        } else if (key.kind == TypeKind::kFloat64) {
-          k64 = b_.CreateBitCast(key.v, b_.getInt64Ty());
-        } else {
-          k64 = key.v;
-        }
-        slots = b_.CreateCall(Helper("proteus_group_upsert", i64p,
-                                     {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                              {CtxPtr(), table_v, k64});
-      }
-      for (size_t i = 0; i < op->outputs().size(); ++i) {
-        const AggOutput& o = op->outputs()[i];
-        llvm::Value* slot_ptr = b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i));
-        llvm::Value* raw = b_.CreateLoad(b_.getInt64Ty(), slot_ptr);
-        llvm::Value* updated;
-        if (o.monoid == Monoid::kCount) {
-          updated = b_.CreateAdd(raw, b_.getInt64(1));
-        } else {
-          PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-          if (slot_kinds[i] == TypeKind::kFloat64) {
-            llvm::Value* acc = b_.CreateBitCast(raw, b_.getDoubleTy());
-            llvm::Value* x = ToDouble(v);
-            llvm::Value* res;
-            if (o.monoid == Monoid::kSum) {
-              res = b_.CreateFAdd(acc, x);
-            } else if (o.monoid == Monoid::kMax) {
-              res = b_.CreateSelect(b_.CreateFCmpOGT(x, acc), x, acc);
-            } else {
-              res = b_.CreateSelect(b_.CreateFCmpOLT(x, acc), x, acc);
-            }
-            updated = b_.CreateBitCast(res, b_.getInt64Ty());
-          } else {
-            llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, b_.getInt64Ty())
-                                                       : v.v;
-            if (o.monoid == Monoid::kSum) {
-              updated = b_.CreateAdd(raw, x);
-            } else if (o.monoid == Monoid::kMax) {
-              updated = b_.CreateSelect(b_.CreateICmpSGT(x, raw), x, raw);
-            } else {
-              updated = b_.CreateSelect(b_.CreateICmpSLT(x, raw), x, raw);
-            }
-          }
-          if (v.null != nullptr) {
-            // Null inputs do not contribute to aggregates (Eval semantics).
-            updated = b_.CreateSelect(v.null, raw, updated);
-          }
-        }
-        b_.CreateStore(updated, slot_ptr);
-      }
-      return Status::OK();
-    };
-    return EmitFilter(op->pred(), update);
-  }));
+  auto* i64 = b_.getInt64Ty();
+  // The table id is taken before the input pipeline emits, which may
+  // register nests of its own (build subtrees).
+  const uint32_t table = layout_->AddGroup({});
+  llvm::Value* groups = b_.CreateCall(Helper("proteus_group_table", i8p, {i8p, b_.getInt32Ty()}),
+                                      {CtxPtr(), b_.getInt32(table)});
+  std::optional<TypedGroupSpec> spec;
+  PROTEUS_RETURN_NOT_OK(EmitNestFold(*op, groups, /*null_keys=*/false, &spec));
+  for (TypeKind k : spec->slots) {
+    if (k == TypeKind::kString) {
+      return Status::Unimplemented("jit: string min/max in a whole-relation nest");
+    }
+  }
+  layout_->groups[table] = *spec;
 
   // ---- group emission pipeline ----
-  llvm::Value* count = b_.CreateCall(
-      Helper("proteus_group_count", b_.getInt64Ty(), {i8p, b_.getInt32Ty()}),
-      {CtxPtr(), table_v});
-  std::string gvar = op->binding().empty() ? "$group" : op->binding();
+  llvm::Value* count = b_.CreateCall(Helper("proteus_group_count", i64, {i8p}), {groups});
+  const std::string& gvar = NestBinding(*op);
   return EmitCountedLoop(count, [&](llvm::Value* g) -> Status {
     CgValue keyv;
-    if (string_keys) {
-      llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
-      keyv.kind = TypeKind::kString;
-      keyv.v = b_.CreateCall(Helper("proteus_group_key_str", i8p,
-                                    {i8p, b_.getInt32Ty(), b_.getInt64Ty(),
-                                     b_.getInt64Ty()->getPointerTo()}),
-                             {CtxPtr(), table_v, g, len_ptr});
-      keyv.len = b_.CreateLoad(b_.getInt64Ty(), len_ptr);
+    keyv.kind = spec->key;
+    if (spec->key == TypeKind::kString) {
+      llvm::Value* len_ptr = EntryAlloca(i64);
+      keyv.v = b_.CreateCall(
+          Helper("proteus_group_key_str", i8p, {i8p, i64, i64->getPointerTo()}),
+          {groups, g, len_ptr});
+      keyv.len = b_.CreateLoad(i64, len_ptr);
     } else {
-      llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", b_.getInt64Ty(),
-                                              {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                                       {CtxPtr(), table_v, g});
-      if (key_kind == TypeKind::kBool) {
-        keyv.kind = TypeKind::kBool;
-        keyv.v = b_.CreateICmpNE(raw, b_.getInt64(0));
-      } else if (float_keys) {
-        keyv.kind = TypeKind::kFloat64;
-        keyv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
-      } else {
-        keyv.kind = TypeKind::kInt64;
-        keyv.v = raw;
-      }
+      llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", i64, {i8p, i64}), {groups, g});
+      keyv.v = spec->key == TypeKind::kBool      ? b_.CreateICmpNE(raw, b_.getInt64(0))
+               : spec->key == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy())
+                                                 : raw;
     }
     bindings_[Key(gvar, {op->group_name()})] = keyv;
 
-    llvm::Value* slots = b_.CreateCall(
-        Helper("proteus_group_slots", i64p, {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-        {CtxPtr(), table_v, g});
+    llvm::Value* row =
+        b_.CreateCall(Helper("proteus_group_row", i64->getPointerTo(), {i8p, i64}), {groups, g});
     for (size_t i = 0; i < op->outputs().size(); ++i) {
-      const AggOutput& o = op->outputs()[i];
-      llvm::Value* raw = b_.CreateLoad(
-          b_.getInt64Ty(), b_.CreateGEP(b_.getInt64Ty(), slots, b_.getInt32((uint32_t)i)));
+      llvm::Value* raw =
+          b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(static_cast<uint32_t>(i))));
       CgValue cv;
-      if (slot_kinds[i] == TypeKind::kFloat64) {
-        cv.kind = TypeKind::kFloat64;
-        cv.v = b_.CreateBitCast(raw, b_.getDoubleTy());
-      } else {
-        cv.kind = TypeKind::kInt64;
-        cv.v = raw;
-      }
-      bindings_[Key(gvar, {o.name})] = cv;
+      cv.kind = spec->slots[i];
+      cv.v = cv.kind == TypeKind::kBool      ? b_.CreateICmpNE(raw, b_.getInt64(0))
+             : cv.kind == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy())
+                                             : raw;
+      bindings_[Key(gvar, {op->outputs()[i].name})] = cv;
     }
     return consume();
   });
+}
+
+Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups, bool null_keys,
+                             std::optional<TypedGroupSpec>* spec) {
+  auto* i8p = b_.getInt8PtrTy();
+  auto* i64 = b_.getInt64Ty();
+  auto* i64p = i64->getPointerTo();
+  const auto& outputs = op.outputs();
+  const auto width = static_cast<uint32_t>(outputs.size());
+
+  Consume update = [&]() -> Status {
+    TypedGroupSpec here;
+    PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
+    here.key = key.kind;
+    auto upsert_typed = [&]() -> llvm::Value* {
+      if (key.kind == TypeKind::kString) {
+        return b_.CreateCall(Helper("proteus_group_upsert_str", i64p, {i8p, i8p, i64}),
+                             {groups, key.v, key.len});
+      }
+      if (key.kind == TypeKind::kFloat64) {
+        return b_.CreateCall(Helper("proteus_group_upsert_double", i64p, {i8p, b_.getDoubleTy()}),
+                             {groups, key.v});
+      }
+      llvm::Value* k = key.kind == TypeKind::kBool ? b_.CreateZExt(key.v, i64) : key.v;
+      return b_.CreateCall(Helper("proteus_group_upsert", i64p, {i8p, i64}), {groups, k});
+    };
+    llvm::Value* row;
+    if (key.null == nullptr) {
+      row = upsert_typed();
+    } else {
+      // A null key is one group, like Value::Null in the interpreter's
+      // table (drain rows grouping on a probe-side field).
+      if (!null_keys) {
+        return Status::Unimplemented("jit: nullable group key outside morsel pipelines");
+      }
+      auto* typed_bb = llvm::BasicBlock::Create(*llctx_, "group.key", fn_);
+      auto* null_bb = llvm::BasicBlock::Create(*llctx_, "group.nullkey", fn_);
+      auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "group.merge", fn_);
+      b_.CreateCondBr(key.null, null_bb, typed_bb);
+      b_.SetInsertPoint(typed_bb);
+      llvm::Value* typed_row = upsert_typed();
+      b_.CreateBr(merge_bb);
+      b_.SetInsertPoint(null_bb);
+      llvm::Value* null_row =
+          b_.CreateCall(Helper("proteus_group_upsert_null", i64p, {i8p}), {groups});
+      b_.CreateBr(merge_bb);
+      b_.SetInsertPoint(merge_bb);
+      llvm::PHINode* phi = b_.CreatePHI(i64p, 2);
+      phi->addIncoming(typed_row, typed_bb);
+      phi->addIncoming(null_row, null_bb);
+      row = phi;
+    }
+
+    for (uint32_t i = 0; i < width; ++i) {
+      const AggOutput& o = outputs[i];
+      llvm::Value* val_ptr = b_.CreateGEP(i64, row, b_.getInt32(i));
+      llvm::Value* rows_ptr = b_.CreateGEP(i64, row, b_.getInt32(width + i));
+      llvm::Value* seen = b_.CreateLoad(i64, rows_ptr);
+      if (o.monoid == Monoid::kCount) {
+        here.slots.push_back(TypeKind::kInt64);
+        here.init.push_back(0);
+        b_.CreateStore(b_.CreateAdd(b_.CreateLoad(i64, val_ptr), b_.getInt64(1)), val_ptr);
+        b_.CreateStore(b_.CreateAdd(seen, b_.getInt64(1)), rows_ptr);
+        continue;
+      }
+      PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
+      if (o.monoid == Monoid::kSum &&
+          (v.kind == TypeKind::kString || v.kind == TypeKind::kBool)) {
+        return Status::Unimplemented("jit: sum over a non-numeric nest output");
+      }
+      here.slots.push_back(v.kind);
+      if (v.kind == TypeKind::kString) {
+        // String min/max: the runtime holds the extreme and copies a new
+        // one only when it changes. Null inputs skip the call.
+        here.init.push_back(0);
+        llvm::BasicBlock* skip_bb = nullptr;
+        if (v.null != nullptr) {
+          auto* fold_bb = llvm::BasicBlock::Create(*llctx_, "group.str", fn_);
+          skip_bb = llvm::BasicBlock::Create(*llctx_, "group.str.skip", fn_);
+          b_.CreateCondBr(v.null, skip_bb, fold_bb);
+          b_.SetInsertPoint(fold_bb);
+        }
+        b_.CreateCall(
+            Helper("proteus_group_str_extreme", b_.getVoidTy(),
+                   {i64p, i64, b_.getInt32Ty(), i8p, i64}),
+            {val_ptr, seen, b_.getInt32(o.monoid == Monoid::kMax ? 1 : 0), v.v, v.len});
+        b_.CreateStore(b_.CreateAdd(seen, b_.getInt64(1)), rows_ptr);
+        if (skip_bb != nullptr) {
+          b_.CreateBr(skip_bb);
+          b_.SetInsertPoint(skip_bb);
+        }
+        continue;
+      }
+      // Bools (min/max only) fold as 0/1 integers.
+      const TypeKind reg = v.kind == TypeKind::kFloat64 ? TypeKind::kFloat64 : TypeKind::kInt64;
+      here.init.push_back(FoldInitBits(o.monoid, reg));
+      llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, i64) : v.v;
+      llvm::Value* raw = b_.CreateLoad(i64, val_ptr);
+      llvm::Value* cur = reg == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy()) : raw;
+      llvm::Value* updated = FoldStep(o.monoid, reg, cur, x);
+      llvm::Value* contrib = b_.getInt64(1);
+      if (v.null != nullptr) {
+        // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
+        updated = b_.CreateSelect(v.null, cur, updated);
+        contrib = b_.CreateZExt(b_.CreateNot(v.null), i64);
+      }
+      b_.CreateStore(reg == TypeKind::kFloat64 ? b_.CreateBitCast(updated, i64) : updated,
+                     val_ptr);
+      b_.CreateStore(b_.CreateAdd(seen, contrib), rows_ptr);
+    }
+    if (!spec->has_value()) {
+      *spec = std::move(here);
+    } else if ((*spec)->key != here.key || (*spec)->slots != here.slots) {
+      return Status::Internal("jit: nest fold kinds differ between emissions");
+    }
+    return Status::OK();
+  };
+  PROTEUS_RETURN_NOT_OK(
+      EmitProduce(op.child(0), [&]() { return EmitFilter(op.pred(), update); }));
+  if (!spec->has_value()) return Status::Internal("jit: nest fold was never emitted");
+  return Status::OK();
+}
+
+llvm::Value* Codegen::FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x) {
+  if (kind == TypeKind::kFloat64) {
+    if (m == Monoid::kSum) return b_.CreateFAdd(cur, x);
+    if (m == Monoid::kMax) return b_.CreateSelect(b_.CreateFCmpOGT(x, cur), x, cur);
+    return b_.CreateSelect(b_.CreateFCmpOLT(x, cur), x, cur);
+  }
+  if (kind == TypeKind::kBool) {
+    return m == Monoid::kAnd ? b_.CreateAnd(cur, x) : b_.CreateOr(cur, x);
+  }
+  if (m == Monoid::kSum) return b_.CreateAdd(cur, x);
+  if (m == Monoid::kMax) return b_.CreateSelect(b_.CreateICmpSGT(x, cur), x, cur);
+  return b_.CreateSelect(b_.CreateICmpSLT(x, cur), x, cur);
 }
 
 // ---------------------------------------------------------------------------
@@ -1812,19 +1867,16 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
                      : k == TypeKind::kBool  ? (llvm::Type*)b_.getInt1Ty()
                                              : (llvm::Type*)b_.getInt64Ty();
     llvm::Value* ptr = EntryAlloca(ty, nullptr, "acc");
+    const int64_t bits = FoldInitBits(o.monoid, k);
     llvm::Value* zero;
     if (k == TypeKind::kFloat64) {
-      double d = 0;
-      if (o.monoid == Monoid::kMax) d = -std::numeric_limits<double>::infinity();
-      if (o.monoid == Monoid::kMin) d = std::numeric_limits<double>::infinity();
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
       zero = llvm::ConstantFP::get(b_.getDoubleTy(), d);
     } else if (k == TypeKind::kBool) {
-      zero = b_.getInt1(o.monoid == Monoid::kAnd);
+      zero = b_.getInt1(bits != 0);
     } else {
-      int64_t z = 0;
-      if (o.monoid == Monoid::kMax) z = std::numeric_limits<int64_t>::min();
-      if (o.monoid == Monoid::kMin) z = std::numeric_limits<int64_t>::max();
-      zero = b_.getInt64(z);
+      zero = b_.getInt64(bits);
     }
     b_.CreateStore(zero, ptr);
     accs.push_back({ptr, k, o.monoid});
@@ -1858,26 +1910,8 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
         updated = b_.CreateAdd(cur, b_.getInt64(1));
       } else {
         PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-        if (a.kind == TypeKind::kFloat64) {
-          llvm::Value* x = ToDouble(v);
-          if (o.monoid == Monoid::kSum) {
-            updated = b_.CreateFAdd(cur, x);
-          } else if (o.monoid == Monoid::kMax) {
-            updated = b_.CreateSelect(b_.CreateFCmpOGT(x, cur), x, cur);
-          } else {
-            updated = b_.CreateSelect(b_.CreateFCmpOLT(x, cur), x, cur);
-          }
-        } else if (a.kind == TypeKind::kBool) {
-          updated = o.monoid == Monoid::kAnd ? b_.CreateAnd(cur, v.v) : b_.CreateOr(cur, v.v);
-        } else {
-          if (o.monoid == Monoid::kSum) {
-            updated = b_.CreateAdd(cur, v.v);
-          } else if (o.monoid == Monoid::kMax) {
-            updated = b_.CreateSelect(b_.CreateICmpSGT(v.v, cur), v.v, cur);
-          } else {
-            updated = b_.CreateSelect(b_.CreateICmpSLT(v.v, cur), v.v, cur);
-          }
-        }
+        updated =
+            FoldStep(o.monoid, a.kind, cur, a.kind == TypeKind::kFloat64 ? ToDouble(v) : v.v);
         if (v.null != nullptr) {
           // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
           updated = b_.CreateSelect(v.null, cur, updated);
@@ -1952,106 +1986,15 @@ Status Codegen::EmitMorselRoot(const OpPtr& reduce, const Operator* nest) {
   return EmitReduceRoot(reduce, /*to_sink=*/true);
 }
 
-/// Nest directly under the root: per-row group upsert into this morsel's
-/// GroupTable partial through the sink entry points. The merged groups
-/// stream through the Reduce root in FinalizePlanPartials — the same code
-/// the interpreter's parallel path runs — so group order and aggregate bits
-/// match it exactly.
+/// Nest directly under the root: the typed fold into the sink's group
+/// table. The host boxes each distinct group once per morsel into the
+/// morsel's GroupTable partial, and the merged groups stream through the
+/// Reduce root in FinalizePlanPartials — the same code the interpreter's
+/// parallel path runs — so group order and aggregate bits match it exactly.
 Status Codegen::EmitNestMorsel(const Operator& op) {
   auto* i8p = b_.getInt8PtrTy();
-  if (!op.group_by()->type()) return Status::Internal("jit: un-typechecked group key");
-  for (const auto& o : op.outputs()) {
-    if (o.monoid != Monoid::kCount && !o.expr->type()) {
-      return Status::Internal("jit: un-typechecked nest output");
-    }
-  }
-
-  Consume update = [&]() -> Status {
-    PROTEUS_ASSIGN_OR_RETURN(CgValue key, EmitExpr(op.group_by()));
-    auto begin_typed = [&]() {
-      if (key.kind == TypeKind::kString) {
-        b_.CreateCall(Helper("proteus_sink_group_begin_str", b_.getVoidTy(),
-                             {i8p, i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), key.v, key.len});
-      } else if (key.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper("proteus_sink_group_begin_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty()}),
-                      {SinkPtr(), b_.CreateZExt(key.v, b_.getInt32Ty())});
-      } else if (key.kind == TypeKind::kFloat64) {
-        // Float keys box through Value::Float — the interpreter's exact
-        // group key, so hashing/equality/order cannot diverge from it.
-        b_.CreateCall(Helper("proteus_sink_group_begin_double", b_.getVoidTy(),
-                             {i8p, b_.getDoubleTy()}),
-                      {SinkPtr(), key.v});
-      } else {
-        b_.CreateCall(Helper("proteus_sink_group_begin_int", b_.getVoidTy(),
-                             {i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), key.v});
-      }
-    };
-    if (key.null == nullptr) {
-      begin_typed();
-    } else {
-      // The boxed group table holds Value::Null keys the same way the
-      // interpreter's does (drain rows grouping on a probe-side field).
-      auto* typed_bb = llvm::BasicBlock::Create(*llctx_, "group.key", fn_);
-      auto* null_bb = llvm::BasicBlock::Create(*llctx_, "group.nullkey", fn_);
-      auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "group.merge", fn_);
-      b_.CreateCondBr(key.null, null_bb, typed_bb);
-      b_.SetInsertPoint(typed_bb);
-      begin_typed();
-      b_.CreateBr(merge_bb);
-      b_.SetInsertPoint(null_bb);
-      b_.CreateCall(Helper("proteus_sink_group_begin_null", b_.getVoidTy(), {i8p}),
-                    {SinkPtr()});
-      b_.CreateBr(merge_bb);
-      b_.SetInsertPoint(merge_bb);
-    }
-    for (size_t i = 0; i < op.outputs().size(); ++i) {
-      const AggOutput& o = op.outputs()[i];
-      llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
-      if (o.monoid == Monoid::kCount) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_count", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty()}),
-                      {SinkPtr(), idx});
-        continue;
-      }
-      PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-      // Dispatch on the emitted kind so the boxed value the sink Add()s has
-      // the same Value kind the interpreter's Eval() would produce. Null
-      // inputs skip the call — Aggregator::Add(null) is a no-op anyway.
-      llvm::BasicBlock* agg_merge = nullptr;
-      if (v.null != nullptr) {
-        auto* agg_bb = llvm::BasicBlock::Create(*llctx_, "group.agg", fn_);
-        agg_merge = llvm::BasicBlock::Create(*llctx_, "group.agg.merge", fn_);
-        b_.CreateCondBr(v.null, agg_merge, agg_bb);
-        b_.SetInsertPoint(agg_bb);
-      }
-      if (v.kind == TypeKind::kFloat64) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_double", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getDoubleTy()}),
-                      {SinkPtr(), idx, v.v});
-      } else if (v.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt32Ty()}),
-                      {SinkPtr(), idx, b_.CreateZExt(v.v, b_.getInt32Ty())});
-      } else if (v.kind == TypeKind::kString) {
-        b_.CreateCall(Helper("proteus_sink_group_agg_str", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), i8p, b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v.v, v.len});
-      } else {
-        b_.CreateCall(Helper("proteus_sink_group_agg_int", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v.v});
-      }
-      if (agg_merge != nullptr) {
-        b_.CreateBr(agg_merge);
-        b_.SetInsertPoint(agg_merge);
-      }
-    }
-    return Status::OK();
-  };
-  return EmitProduce(op.child(0), [&]() { return EmitFilter(op.pred(), update); });
+  llvm::Value* groups = b_.CreateCall(Helper("proteus_sink_groups", i8p, {i8p}), {SinkPtr()});
+  return EmitNestFold(op, groups, /*null_keys=*/true, &layout_->sink_groups);
 }
 
 // ---------------------------------------------------------------------------
@@ -2444,13 +2387,17 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   PlanPartials partials;
   partials.nest = nest != nullptr;
   std::vector<JitMorselSink> sinks(slots);
+  const int workers = ctx_.scheduler != nullptr ? ctx_.scheduler->num_threads() : 1;
+  // Nest: one typed group table per worker, flushed into the morsel's
+  // GroupTable after every call (drains run serially on worker 0's).
+  std::vector<TypedGroupTable> typed;
   if (nest != nullptr) {
-    partials.group_morsels.resize(slots);
-    for (size_t m = 0; m < slots; ++m) {
-      partials.group_morsels[m].count_bytes = false;
-      sinks[m].groups = &partials.group_morsels[m];
-      sinks[m].nest = nest;
+    if (!cq->layout.sink_groups.has_value()) {
+      return Status::Internal("jit: morsel nest module without a group table shape");
     }
+    typed.assign(static_cast<size_t>(workers), TypedGroupTable(*cq->layout.sink_groups));
+    partials.group_morsels.resize(slots);
+    for (size_t m = 0; m < slots; ++m) partials.group_morsels[m].count_bytes = false;
   } else {
     partials.agg_morsels.reserve(slots);
     for (size_t m = 0; m < slots; ++m) partials.agg_morsels.push_back(MakeReduceAggs(*plan));
@@ -2464,7 +2411,6 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   // One reusable ctx per worker, not per morsel: unnest cursors and probe
   // iterators are (re)initialized by the generated code before every use,
   // so reuse is race-free and skips 2 vector allocations per morsel.
-  const int workers = ctx_.scheduler != nullptr ? ctx_.scheduler->num_threads() : 1;
   std::vector<jit::MorselCtx> ctxs(static_cast<size_t>(workers), jit::MorselCtx(&rt));
 
   // Matched-build bitmaps for the outer chain joins, one set per *worker*
@@ -2498,8 +2444,10 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     // shares.
     OBS_SPAN(ctx_.trace, "jit_morsel", "morsel", static_cast<int64_t>(morsel_begin + m));
     if (!matched.empty()) sinks[m].matched = &matched[worker];
+    if (nest != nullptr) sinks[m].groups = &typed[worker];
     cq->pipeline_fn(&ctxs[worker], &sinks[m], params.data(), morsels[m].begin,
                     morsels[m].end);
+    if (nest != nullptr) typed[worker].FlushInto(*nest, &partials.group_morsels[m]);
     return Status::OK();
   };
   if (ctx_.scheduler != nullptr) {
@@ -2525,7 +2473,9 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
         const std::vector<uint8_t>& bm = matched[s][table];
         for (size_t i = 0; i < rows; ++i) merged[i] |= bm[i];
       }
+      if (nest != nullptr) sinks[n + k].groups = &typed[0];
       cq->drain_fns[k](&drain_ctx, &sinks[n + k], merged.data(), params.data());
+      if (nest != nullptr) typed[0].FlushInto(*nest, &partials.group_morsels[n + k]);
     }
     if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
   }

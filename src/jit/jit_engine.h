@@ -49,8 +49,11 @@
 // the choice is invisible to results; it is baked into the compiled module
 // and therefore part of the query-cache key. Non-equi joins compile to a
 // nested loop over the frozen build rows (the interpreter's exact match
-// enumeration), and float group keys box through the same Value-keyed group
-// table the interpreter uses.
+// enumeration). Group-bys fold each grouped row into a typed group table
+// (one upsert call per row, inline accumulator arithmetic) whose keys
+// compare by the interpreter's Value::Equals rules — float keys and the
+// null key included — and each distinct group is boxed into the morsel's
+// GroupTable partial once per morsel.
 //
 // Plans using features still outside the generated fast path (non-integer
 // equi-join keys, outer joins off the pipeline chain, collection or boolean

@@ -34,12 +34,16 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_join_probe_row", reinterpret_cast<void*>(&proteus_join_probe_row)},
       {"proteus_join_rows", reinterpret_cast<void*>(&proteus_join_rows)},
       {"proteus_join_payload_at", reinterpret_cast<void*>(&proteus_join_payload_at)},
+      {"proteus_group_table", reinterpret_cast<void*>(&proteus_group_table)},
       {"proteus_group_upsert", reinterpret_cast<void*>(&proteus_group_upsert)},
+      {"proteus_group_upsert_double", reinterpret_cast<void*>(&proteus_group_upsert_double)},
       {"proteus_group_upsert_str", reinterpret_cast<void*>(&proteus_group_upsert_str)},
+      {"proteus_group_upsert_null", reinterpret_cast<void*>(&proteus_group_upsert_null)},
+      {"proteus_group_str_extreme", reinterpret_cast<void*>(&proteus_group_str_extreme)},
       {"proteus_group_count", reinterpret_cast<void*>(&proteus_group_count)},
       {"proteus_group_key", reinterpret_cast<void*>(&proteus_group_key)},
       {"proteus_group_key_str", reinterpret_cast<void*>(&proteus_group_key_str)},
-      {"proteus_group_slots", reinterpret_cast<void*>(&proteus_group_slots)},
+      {"proteus_group_row", reinterpret_cast<void*>(&proteus_group_row)},
       {"proteus_result_emit_int", reinterpret_cast<void*>(&proteus_result_emit_int)},
       {"proteus_result_emit_double", reinterpret_cast<void*>(&proteus_result_emit_double)},
       {"proteus_result_emit_bool", reinterpret_cast<void*>(&proteus_result_emit_bool)},
@@ -54,21 +58,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_sink_agg_flush_double",
        reinterpret_cast<void*>(&proteus_sink_agg_flush_double)},
       {"proteus_sink_agg_flush_bool", reinterpret_cast<void*>(&proteus_sink_agg_flush_bool)},
-      {"proteus_sink_group_begin_int",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_int)},
-      {"proteus_sink_group_begin_double",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_double)},
-      {"proteus_sink_group_begin_bool",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_bool)},
-      {"proteus_sink_group_begin_str",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_str)},
-      {"proteus_sink_group_agg_count",
-       reinterpret_cast<void*>(&proteus_sink_group_agg_count)},
-      {"proteus_sink_group_agg_int", reinterpret_cast<void*>(&proteus_sink_group_agg_int)},
-      {"proteus_sink_group_agg_double",
-       reinterpret_cast<void*>(&proteus_sink_group_agg_double)},
-      {"proteus_sink_group_agg_bool", reinterpret_cast<void*>(&proteus_sink_group_agg_bool)},
-      {"proteus_sink_group_agg_str", reinterpret_cast<void*>(&proteus_sink_group_agg_str)},
+      {"proteus_sink_groups", reinterpret_cast<void*>(&proteus_sink_groups)},
       {"proteus_sink_emit_int", reinterpret_cast<void*>(&proteus_sink_emit_int)},
       {"proteus_sink_emit_double", reinterpret_cast<void*>(&proteus_sink_emit_double)},
       {"proteus_sink_emit_bool", reinterpret_cast<void*>(&proteus_sink_emit_bool)},
@@ -76,8 +66,6 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_sink_emit_end", reinterpret_cast<void*>(&proteus_sink_emit_end)},
       {"proteus_sink_emit_null", reinterpret_cast<void*>(&proteus_sink_emit_null)},
       {"proteus_sink_join_matched", reinterpret_cast<void*>(&proteus_sink_join_matched)},
-      {"proteus_sink_group_begin_null",
-       reinterpret_cast<void*>(&proteus_sink_group_begin_null)},
   };
 }
 
@@ -94,7 +82,6 @@ using proteus::CsvPlugin;
 using proteus::JsonPlugin;
 using proteus::JsonToken;
 using proteus::JsonTokenType;
-using proteus::jit::GroupTableRt;
 using proteus::jit::JoinTableRt;
 using proteus::jit::MorselCtx;
 using proteus::jit::QueryRuntime;
@@ -102,6 +89,7 @@ using proteus::jit::UnnestStateRt;
 
 MorselCtx* CTX(void* p) { return static_cast<MorselCtx*>(p); }
 QueryRuntime* RT(void* p) { return CTX(p)->rt; }
+proteus::TypedGroupTable* GROUPS(void* p) { return static_cast<proteus::TypedGroupTable*>(p); }
 
 int64_t ParseIntSpan(const char* s, const char* e) {
   int64_t v = 0;
@@ -179,52 +167,6 @@ const JsonToken* JsonTok(const void* plugin, uint64_t oid, uint64_t path_hash) {
   return static_cast<const JsonPlugin*>(plugin)->FindTokenByHash(oid, path_hash);
 }
 
-uint32_t GroupFind(GroupTableRt& g, uint64_t hash, int64_t ikey, const char* skey,
-                   int64_t slen) {
-  if (g.buckets.empty()) {
-    g.buckets.assign(1024, 0xFFFFFFFFu);
-    g.mask = 1023;
-  }
-  // Grow at 70% load.
-  auto count = static_cast<uint32_t>(g.string_keys ? g.skeys.size() : g.ikeys.size());
-  if (count * 10 > (g.mask + 1) * 7) {
-    uint32_t new_size = (g.mask + 1) * 2;
-    g.buckets.assign(new_size, 0xFFFFFFFFu);
-    g.mask = new_size - 1;
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t h = g.string_keys
-                       ? proteus::HashString(g.skeys[i])
-                       : proteus::HashMix64(static_cast<uint64_t>(g.ikeys[i]));
-      uint32_t b = static_cast<uint32_t>(h) & g.mask;
-      while (g.buckets[b] != 0xFFFFFFFFu) b = (b + 1) & g.mask;
-      g.buckets[b] = i;
-    }
-  }
-  uint32_t b = static_cast<uint32_t>(hash) & g.mask;
-  while (true) {
-    uint32_t idx = g.buckets[b];
-    if (idx == 0xFFFFFFFFu) {
-      // Insert new group.
-      uint32_t gi;
-      if (g.string_keys) {
-        gi = static_cast<uint32_t>(g.skeys.size());
-        g.skeys.emplace_back(skey, static_cast<size_t>(slen));
-      } else {
-        gi = static_cast<uint32_t>(g.ikeys.size());
-        g.ikeys.push_back(ikey);
-      }
-      g.buckets[b] = gi;
-      g.slots.insert(g.slots.end(), g.init_slots.begin(), g.init_slots.end());
-      return gi;
-    }
-    bool match = g.string_keys
-                     ? (static_cast<int64_t>(g.skeys[idx].size()) == slen &&
-                        std::memcmp(g.skeys[idx].data(), skey, static_cast<size_t>(slen)) == 0)
-                     : g.ikeys[idx] == ikey;
-    if (match) return idx;
-    b = (b + 1) & g.mask;
-  }
-}
 
 }  // namespace
 
@@ -415,37 +357,40 @@ const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row) {
   return t.payload.data() + static_cast<size_t>(row) * t.slots_per_row;
 }
 
-int64_t* proteus_group_upsert(void* ctx, uint32_t table, int64_t key) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  uint32_t idx = GroupFind(g, proteus::HashMix64(static_cast<uint64_t>(key)), key, nullptr, 0);
-  return g.slots.data() + static_cast<size_t>(idx) * g.slots_per_group;
+void* proteus_group_table(void* ctx, uint32_t table) { return RT(ctx)->groups[table].get(); }
+
+int64_t* proteus_group_upsert(void* groups, int64_t key) { return GROUPS(groups)->Upsert(key); }
+
+int64_t* proteus_group_upsert_double(void* groups, double key) {
+  return GROUPS(groups)->UpsertDouble(key);
 }
 
-int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, int64_t len) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  uint32_t idx = GroupFind(g, proteus::HashBytes(key, static_cast<size_t>(len)), 0, key, len);
-  return g.slots.data() + static_cast<size_t>(idx) * g.slots_per_group;
+int64_t* proteus_group_upsert_str(void* groups, const char* key, int64_t len) {
+  return GROUPS(groups)->UpsertStr(key, static_cast<size_t>(len));
 }
 
-uint64_t proteus_group_count(void* ctx, uint32_t table) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  return g.string_keys ? g.skeys.size() : g.ikeys.size();
+int64_t* proteus_group_upsert_null(void* groups) { return GROUPS(groups)->UpsertNull(); }
+
+void proteus_group_str_extreme(int64_t* slot, int64_t seen, int32_t is_max, const char* p,
+                               int64_t len) {
+  // Value::Compare on strings is std::string::compare; the held extreme is
+  // copied only when it changes.
+  std::string& cur = *reinterpret_cast<std::string*>(static_cast<intptr_t>(*slot));
+  const int c = std::string_view(p, static_cast<size_t>(len)).compare(cur);
+  if (seen == 0 || (is_max != 0 ? c > 0 : c < 0)) cur.assign(p, static_cast<size_t>(len));
 }
 
-int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx) {
-  return RT(ctx)->groups[table]->ikeys[idx];
-}
+uint64_t proteus_group_count(void* groups) { return GROUPS(groups)->size(); }
 
-const char* proteus_group_key_str(void* ctx, uint32_t table, uint64_t idx, int64_t* len) {
-  const std::string& s = RT(ctx)->groups[table]->skeys[idx];
+int64_t proteus_group_key(void* groups, uint64_t idx) { return GROUPS(groups)->key(idx); }
+
+const char* proteus_group_key_str(void* groups, uint64_t idx, int64_t* len) {
+  const std::string& s = GROUPS(groups)->key_str(idx);
   *len = static_cast<int64_t>(s.size());
   return s.data();
 }
 
-int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx) {
-  GroupTableRt& g = *RT(ctx)->groups[table];
-  return g.slots.data() + idx * g.slots_per_group;
-}
+int64_t* proteus_group_row(void* groups, uint64_t idx) { return GROUPS(groups)->row(idx); }
 
 void proteus_result_emit_int(void* ctx, int64_t v) {
   RT(ctx)->cur_row.push_back(proteus::Value::Int(v));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/engine/aggregator.h"
+#include "src/engine/partial_sink.h"
 #include "src/engine/radix_table.h"
 #include "src/engine/result.h"
 #include "src/plugins/csv_plugin.h"
@@ -39,19 +40,6 @@ struct JoinTableRt {
   uint32_t slots_per_row = 0;
 };
 
-/// Hash grouping state: int64 or string keys, packed 8-byte agg slots.
-struct GroupTableRt {
-  bool string_keys = false;
-  std::vector<int64_t> ikeys;
-  std::vector<std::string> skeys;
-  std::vector<int64_t> slots;  ///< group-major, slots_per_group per group
-  uint32_t slots_per_group = 0;
-  std::vector<int64_t> init_slots;
-  // open addressing over key hash -> group index
-  std::vector<uint32_t> buckets;
-  uint32_t mask = 0;
-};
-
 /// Lazy JSON array iteration state for generated Unnest loops.
 struct UnnestStateRt {
   const JsonPlugin* plugin = nullptr;
@@ -72,7 +60,7 @@ struct UnnestStateRt {
 /// Per-task mutable state lives in MorselCtx.
 struct QueryRuntime {
   std::vector<std::unique_ptr<JoinTableRt>> joins;
-  std::vector<std::unique_ptr<GroupTableRt>> groups;
+  std::vector<std::unique_ptr<TypedGroupTable>> groups;
   uint32_t num_unnests = 0;
   /// Parallel radix build for join tables (byte-identical layout to the
   /// serial build); null builds serially.
@@ -93,12 +81,8 @@ struct QueryRuntime {
     joins.push_back(std::move(t));
     return static_cast<uint32_t>(joins.size() - 1);
   }
-  uint32_t AddGroup(bool string_keys, std::vector<int64_t> init) {
-    auto t = std::make_unique<GroupTableRt>();
-    t->string_keys = string_keys;
-    t->slots_per_group = static_cast<uint32_t>(init.size());
-    t->init_slots = std::move(init);
-    groups.push_back(std::move(t));
+  uint32_t AddGroup(TypedGroupSpec spec) {
+    groups.push_back(std::make_unique<TypedGroupTable>(std::move(spec)));
     return static_cast<uint32_t>(groups.size() - 1);
   }
   uint32_t AddUnnest() { return num_unnests++; }
@@ -186,15 +170,25 @@ int64_t proteus_join_probe_row(void* ctx, uint32_t table);
 int64_t proteus_join_rows(void* ctx, uint32_t table);
 const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row);
 
-// Hash grouping (Nest) — legacy single-call path and mid-chain nests inside
-// build pipelines; morsel-parallel group-bys go through the partial-sink
-// entry points (partial_sink.h) instead.
-int64_t* proteus_group_upsert(void* ctx, uint32_t table, int64_t key);
-int64_t* proteus_group_upsert_str(void* ctx, uint32_t table, const char* key, int64_t len);
-uint64_t proteus_group_count(void* ctx, uint32_t table);
-int64_t proteus_group_key(void* ctx, uint32_t table, uint64_t idx);
-const char* proteus_group_key_str(void* ctx, uint32_t table, uint64_t idx, int64_t* len);
-int64_t* proteus_group_slots(void* ctx, uint32_t table, uint64_t idx);
+// Hash grouping (Nest). `groups` is a TypedGroupTable*: the query-lifetime
+// table of a whole-relation nest (proteus_group_table — the legacy
+// single-call path and mid-chain nests inside build pipelines) or a morsel
+// sink's (proteus_sink_groups). One upsert per grouped row returns the
+// group's row: each output's accumulator bits, then each output's count of
+// contributing rows; the generated fold updates it in place.
+void* proteus_group_table(void* ctx, uint32_t table);
+int64_t* proteus_group_upsert(void* groups, int64_t key);
+int64_t* proteus_group_upsert_double(void* groups, double key);
+int64_t* proteus_group_upsert_str(void* groups, const char* key, int64_t len);
+int64_t* proteus_group_upsert_null(void* groups);
+// String min/max: `slot` holds the group's std::string*, replaced by
+// (p, len) when `seen` is 0 or the value beats it.
+void proteus_group_str_extreme(int64_t* slot, int64_t seen, int32_t is_max, const char* p,
+                               int64_t len);
+uint64_t proteus_group_count(void* groups);
+int64_t proteus_group_key(void* groups, uint64_t idx);
+const char* proteus_group_key_str(void* groups, uint64_t idx, int64_t* len);
+int64_t* proteus_group_row(void* groups, uint64_t idx);
 
 // Result building (legacy single-call path; morsel pipelines emit rows into
 // their JitMorselSink instead).

@@ -112,14 +112,14 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
     // (monoid). The wire format is the trust boundary — a socket transport
     // hands us whatever the peer sent.
     const auto& outputs = nest != nullptr ? nest->outputs() : plan->outputs();
-    auto check_aggs = [&](const std::vector<Aggregator>& aggs) -> Status {
-      if (aggs.size() != outputs.size()) {
+    auto check_aggs = [&](const Aggregator* aggs, size_t arity) -> Status {
+      if (arity != outputs.size()) {
         return Status::Internal("shard " + std::to_string(i) +
                                 " sent an aggregate vector of arity " +
-                                std::to_string(aggs.size()) + ", expected " +
+                                std::to_string(arity) + ", expected " +
                                 std::to_string(outputs.size()));
       }
-      for (size_t a = 0; a < aggs.size(); ++a) {
+      for (size_t a = 0; a < arity; ++a) {
         if (aggs[a].monoid() != outputs[a].monoid) {
           return Status::Internal("shard " + std::to_string(i) +
                                   " sent monoid " + MonoidName(aggs[a].monoid()) +
@@ -130,11 +130,11 @@ Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* tra
       return Status::OK();
     };
     for (const auto& aggs : partial.partials.agg_morsels) {
-      PROTEUS_RETURN_NOT_OK(check_aggs(aggs));
+      PROTEUS_RETURN_NOT_OK(check_aggs(aggs.data(), aggs.size()));
     }
     for (const auto& table : partial.partials.group_morsels) {
-      for (const auto& aggs : table.aggs) {
-        PROTEUS_RETURN_NOT_OK(check_aggs(aggs));
+      for (size_t g = 0; g < table.keys.size(); ++g) {
+        PROTEUS_RETURN_NOT_OK(check_aggs(table.group_aggs(g), table.width));
       }
     }
     all.Append(std::move(partial.partials));

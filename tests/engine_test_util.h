@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 
 #include "src/core/query_engine.h"
@@ -184,6 +187,99 @@ inline void RegisterSkewCorpus(QueryEngine* engine) {
   reg("heavy_orders", "heavy_orders.json", datagen::OrdersSchema());
   reg("nullkey_orders", "nullkey_orders.json", datagen::OrdersSchema());
   reg("skew_lineitem", "skew_lineitem.json", datagen::LineitemSchema());
+}
+
+/// Group-by edge cases for the typed Nest fold, one 1460-row table written
+/// as binary columns, CSV and JSON (nest_bincol / nest_csv / nest_json):
+///   day  — int, 365 distinct values first seen in a scattered order, so
+///          every group spans many morsels
+///   fk   — float key cycling -0.0, 1.5, 0.0, NaN, -2.25, 0.0, -0.0, NaN,
+///          3.0 (±0 must share a group keyed by the first seen; every NaN
+///          is its own group). JSON has no NaN: its copy writes 4.5.
+///   s    — string, 23 distinct values of varied length (keys and min/max)
+///   v    — float value
+///   flag — bool
+struct NestCorpus {
+  std::string dir;
+
+  static const NestCorpus& Get() {
+    static NestCorpus c = Build();
+    return c;
+  }
+
+  static TypePtr Schema() {
+    return Type::BagOfRecords({{"day", Type::Int64()},
+                               {"fk", Type::Float64()},
+                               {"s", Type::String()},
+                               {"v", Type::Float64()},
+                               {"flag", Type::Bool()}});
+  }
+
+ private:
+  static NestCorpus Build() {
+    NestCorpus c;
+    c.dir = Corpus::Get().dir;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double keys[] = {-0.0, 1.5, 0.0, nan, -2.25, 0.0, -0.0, nan, 3.0};
+    RowTable table(Schema()->elem());
+    RowTable json_table(Schema()->elem());
+    for (int64_t i = 0; i < 1460; ++i) {
+      const double fk = keys[i % 9];
+      std::string s = "s" + std::string(static_cast<size_t>(i % 5), 'x') +
+                      std::to_string((i * 11) % 23);
+      std::vector<Value> row{Value::Int((i * 7) % 365), Value::Float(fk), Value::Str(s),
+                             Value::Float(0.25 * static_cast<double>(i % 97) - 3.5),
+                             Value::Boolean(i % 3 == 0)};
+      table.Append(row);
+      row[1] = Value::Float(std::isnan(fk) ? 4.5 : fk);
+      json_table.Append(std::move(row));
+    }
+    auto check = [](const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); };
+    check(WriteBinaryColumnDir(c.dir + "/nest.bincol", table));
+    check(WriteCSVFile(c.dir + "/nest.csv", table));
+    check(WriteJSONFile(c.dir + "/nest.json", json_table));
+    return c;
+  }
+};
+
+inline void RegisterNestCorpus(QueryEngine* engine) {
+  const NestCorpus& c = NestCorpus::Get();
+  auto reg = [&](const std::string& name, DataFormat fmt, const std::string& file) {
+    DatasetInfo info;
+    info.name = name;
+    info.format = fmt;
+    info.path = c.dir + "/" + file;
+    info.type = NestCorpus::Schema();
+    ASSERT_TRUE(engine->RegisterDataset(info).ok()) << name;
+  };
+  reg("nest_bincol", DataFormat::kBinaryColumn, "nest.bincol");
+  reg("nest_csv", DataFormat::kCSV, "nest.csv");
+  reg("nest_json", DataFormat::kJSON, "nest.json");
+}
+
+/// Cell-for-cell identity down to float bits: unlike Value::Equals, -0.0
+/// differs from +0.0 and a NaN equals a NaN with the same bits.
+inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b,
+                               const std::string& ctx) {
+  ASSERT_EQ(a.columns, b.columns) << ctx;
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << ctx;
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    ASSERT_EQ(a.rows[r].size(), b.rows[r].size()) << ctx << " row " << r;
+    for (size_t c = 0; c < a.rows[r].size(); ++c) {
+      const Value& x = a.rows[r][c];
+      const Value& y = b.rows[r][c];
+      bool same;
+      if (x.is_float() && y.is_float()) {
+        double dx = x.f();
+        double dy = y.f();
+        same = std::memcmp(&dx, &dy, sizeof(dx)) == 0;
+      } else {
+        same = x.is_float() == y.is_float() && x.Equals(y);
+      }
+      EXPECT_TRUE(same) << ctx << " row " << r << " col " << c << ": " << x.ToString()
+                        << " vs " << y.ToString();
+    }
+  }
 }
 
 }  // namespace testutil

@@ -14,6 +14,7 @@
 // joins, outer joins, group-bys, and unnest through all four plug-ins.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <random>
@@ -1261,6 +1262,174 @@ TEST(JitFallbackTelemetry, AllFallbackReasonsReported) {
       << jit.telemetry.fallback_reason;
   EXPECT_NE(jit.telemetry.fallback_reason.find("; "), std::string::npos)
       << "reasons must be semicolon-joined: " << jit.telemetry.fallback_reason;
+}
+
+// ---------------------------------------------------------------------------
+// Typed group-by partials: a generated Nest folds every grouped row into a
+// typed per-morsel table (one upsert per row) and boxes each distinct group
+// once per morsel. The boxed Value key semantics must survive the typed
+// table exactly: ±0 share a group keyed by the first seen, NaN never
+// matches, a null key is one group at its first-appearance position, groups
+// whose inputs are all null stay empty, and string min/max compare like
+// Value::Compare. Every case runs at 1 and 4 threads, with 2 shards, and
+// across a tiered hot-swap, bit-identical to the 1-thread interpreter.
+// ---------------------------------------------------------------------------
+
+using EngineRun = std::function<Result<QueryResult>(QueryEngine*)>;
+
+struct NestRun {
+  RunInfo info;
+  std::string ir;
+};
+
+/// One run of `run` on a fresh engine over every test corpus; a
+/// `swap_after` >= 0 enables tiering with a forced swap after that many
+/// interpreted morsels.
+NestRun RunNestCase(const EngineRun& run, ExecMode mode, int threads, int shards = 0,
+                    int swap_after = -1) {
+  EngineOptions opts;
+  opts.mode = mode;
+  opts.num_threads = threads;
+  opts.num_shards = shards;
+  opts.morsel_rows = kDiffMorselRows;
+  if (swap_after >= 0) {
+    opts.tiered = true;
+    opts.tiered_opts.force_swap_after_morsels = static_cast<uint64_t>(swap_after);
+  }
+  QueryEngine engine(opts);
+  testutil::RegisterAll(&engine);
+  RegisterOuterCorpus(&engine);
+  testutil::RegisterNestCorpus(&engine);
+  auto r = run(&engine);
+  NestRun out;
+  out.info.status = r.status();
+  if (r.ok()) out.info.result = std::move(*r);
+  out.info.telemetry = engine.telemetry();
+  out.ir = engine.last_ir();
+  return out;
+}
+
+/// Outer-join drains need a global bitmap view, so with `outer_join` the
+/// 2-shard engine declines sharding and the tiered one runs generated code
+/// throughout; results must match all the same.
+void ExpectTypedNestMatches(const EngineRun& run, const std::string& what,
+                            bool outer_join = false) {
+  NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
+  ASSERT_TRUE(oracle.info.status.ok()) << what << "\n" << oracle.info.status.ToString();
+  uint64_t morsels = 0;
+  for (int threads : {1, 4}) {
+    NestRun jit = RunNestCase(run, ExecMode::kJIT, threads);
+    morsels = jit.info.telemetry.morsels;
+    const std::string ctx = what + " @ jit threads=" + std::to_string(threads);
+    ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
+    testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
+    EXPECT_TRUE(jit.info.telemetry.used_jit) << ctx << ": " << jit.info.telemetry.fallback_reason;
+    EXPECT_TRUE(jit.info.telemetry.jit_parallel) << ctx;
+    // The fold is typed: the module reaches the group table through one
+    // upsert per row and never boxes a grouped row itself.
+    EXPECT_EQ(jit.ir.find("proteus_sink_group_"), std::string::npos) << ctx;
+    EXPECT_NE(jit.ir.find("proteus_group_upsert"), std::string::npos) << ctx;
+  }
+  NestRun sharded = RunNestCase(run, ExecMode::kJIT, 4, /*shards=*/2);
+  ASSERT_TRUE(sharded.info.status.ok()) << what << "\n" << sharded.info.status.ToString();
+  testutil::ExpectBitIdentical(oracle.info.result, sharded.info.result, what + " @ 2 shards");
+  EXPECT_TRUE(sharded.info.telemetry.used_jit) << what;
+  EXPECT_EQ(sharded.info.telemetry.shards_used, outer_join ? 0 : 2) << what;
+
+  NestRun tiered = RunNestCase(run, ExecMode::kJIT, 2, 0, /*swap_after=*/3);
+  ASSERT_TRUE(tiered.info.status.ok()) << what << "\n" << tiered.info.status.ToString();
+  testutil::ExpectBitIdentical(oracle.info.result, tiered.info.result, what + " @ tiered swap");
+  if (!outer_join && morsels > 3) {
+    EXPECT_EQ(tiered.info.telemetry.morsels_interpreted, 3u) << what;
+    EXPECT_GT(tiered.info.telemetry.morsels_jit, 0u) << what;
+  }
+}
+
+TEST(TypedNest, GroupKeyEdgeCasesBitIdentical) {
+  const std::vector<std::string> queries = {
+      // Float keys: ±0 fold into one group, every NaN row is its own group.
+      "SELECT fk, count(*), sum(v), max(v), min(s) FROM nest_bincol GROUP BY fk",
+      "SELECT fk, count(*), sum(day), max(s) FROM nest_csv GROUP BY fk",
+      "SELECT fk, count(*), min(v) FROM nest_json GROUP BY fk",
+      // 365 int groups, each spread over many morsels (binary columns split
+      // into 1024-row blocks, the text formats into 16-row morsels); string
+      // min/max.
+      "SELECT day, count(*), sum(v), max(s), min(day) FROM nest_bincol GROUP BY day",
+      "SELECT day, count(*), sum(v), min(s) FROM nest_csv GROUP BY day",
+      "SELECT day, count(*), max(v), max(s) FROM nest_json WHERE v > -2.0 GROUP BY day",
+      // String and bool keys.
+      "SELECT s, count(*), max(flag), min(v), sum(day) FROM nest_json GROUP BY s",
+      "SELECT flag, count(*), sum(v), min(s) FROM nest_bincol GROUP BY flag",
+  };
+  for (const auto& q : queries) {
+    ExpectTypedNestMatches([&](QueryEngine* e) { return e->Execute(q); }, q);
+  }
+  // The corpus really exercises the float-key rules: 4 non-NaN keys plus
+  // one group per NaN row (2 of every 9 rows), keyed -0.0 first.
+  NestRun r = RunNestCase(
+      [](QueryEngine* e) {
+        return e->Execute("SELECT fk, count(*) FROM nest_bincol GROUP BY fk");
+      },
+      ExecMode::kJIT, 4);
+  ASSERT_TRUE(r.info.status.ok()) << r.info.status.ToString();
+  size_t nan_groups = 0;
+  for (const auto& row : r.info.result.rows) nan_groups += std::isnan(row[0].f()) ? 1 : 0;
+  EXPECT_EQ(nan_groups, 1460u / 9 * 2);  // rows 3 and 7 of each 9-row cycle
+  EXPECT_EQ(r.info.result.rows.size(), 4u + nan_groups);
+  ASSERT_FALSE(r.info.result.rows.empty());
+  EXPECT_TRUE(std::signbit(r.info.result.rows[0][0].f())) << "±0 group keyed by -0.0";
+  EXPECT_EQ(r.info.result.rows[0][1].i(), 1460 / 9 * 4 + 1);
+}
+
+TEST(TypedNest, NullKeysAndAllNullGroupsBitIdentical) {
+  // Outer unnest over arrays where every third is empty: the null element
+  // rows group under a null key (probe-side element field) or form groups
+  // whose inputs are all null (outer-side key).
+  auto unnest = [] {
+    return Operator::Unnest(Operator::Scan("holey_denorm", "o"), {"o", "lineitems"}, "l",
+                            nullptr, /*outer=*/true);
+  };
+  auto grouped = [](OpPtr input, ExprPtr key) {
+    OpPtr nest = Operator::Nest(std::move(input), std::move(key), "k",
+                                {{Monoid::kCount, nullptr, "n"},
+                                 {Monoid::kMax, Proj("l", "l_quantity"), "maxq"},
+                                 {Monoid::kSum, Proj("l", "l_extendedprice"), "sump"},
+                                 {Monoid::kMin, Proj("l", "l_shipmode"), "mins"},
+                                 {Monoid::kMax, Proj("l", "l_comment"), "maxc"}},
+                                nullptr, "g");
+    ExprPtr rec = Expr::Record(
+        {"k", "n", "maxq", "sump", "mins", "maxc"},
+        {Proj("g", "k"), Proj("g", "n"), Proj("g", "maxq"), Proj("g", "sump"),
+         Proj("g", "mins"), Proj("g", "maxc")});
+    return Operator::Reduce(nest, {{Monoid::kBag, rec, "rows"}});
+  };
+  auto by_element = [&](QueryEngine* e) {
+    return e->ExecutePlan(grouped(unnest(), Proj("l", "l_shipmode")));
+  };
+  auto by_order = [&](QueryEngine* e) {
+    return e->ExecutePlan(grouped(unnest(), Proj("o", "o_orderkey")));
+  };
+  ExpectTypedNestMatches(by_element, "outer unnest, null element key");
+  ExpectTypedNestMatches(by_order, "outer unnest, all-null groups");
+
+  NestRun keyed = RunNestCase(by_element, ExecMode::kJIT, 4);
+  ASSERT_TRUE(keyed.info.status.ok()) << keyed.info.status.ToString();
+  size_t null_keys = 0;
+  for (const auto& row : keyed.info.result.rows) null_keys += row[0].is_null() ? 1 : 0;
+  EXPECT_EQ(null_keys, 1u) << "the null key is one group";
+
+  NestRun empty = RunNestCase(by_order, ExecMode::kJIT, 4);
+  ASSERT_TRUE(empty.info.status.ok()) << empty.info.status.ToString();
+  size_t all_null = 0;
+  for (const auto& row : empty.info.result.rows) all_null += row[2].is_null() ? 1 : 0;
+  EXPECT_EQ(all_null, 7u) << "orders 3,6,...,21 have empty arrays";
+
+  // Outer-join drains (unshardable: the 2-shard run declines to one
+  // engine) group on a probe-side field too.
+  ExpectTypedNestMatches(
+      [&](QueryEngine* e) { return e->ExecutePlan(grouped(WidowOuterJoin("lineitem_json"),
+                                                          Proj("l", "l_shipmode"))); },
+      "outer join drain, null key", /*outer_join=*/true);
 }
 
 }  // namespace

@@ -440,6 +440,28 @@ TEST(EngineTrace, InterpreterQueryEmitsInterpMorsels) {
   EXPECT_FALSE(t.HasSpan("jit_morsel"));
 }
 
+TEST(EngineTrace, PartialMergeCountsDistinctGroups) {
+  for (ExecMode mode : {ExecMode::kInterp, ExecMode::kJIT}) {
+    EngineOptions opts;
+    opts.mode = mode;
+    opts.trace = true;
+    opts.num_threads = 2;
+    opts.morsel_rows = kTestMorselRows;
+    auto engine = MakeEngine(opts);
+    auto r = engine->Execute(
+        "SELECT l_linenumber, count(*) FROM lineitem_json GROUP BY l_linenumber");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    obs::QueryTrace t = engine->trace()->Snapshot();
+    ASSERT_EQ(t.CountSpans("partial_merge"), 1u);
+    for (const auto& e : t.events) {
+      if (std::string(e.name) != "partial_merge") continue;
+      ASSERT_STREQ(e.arg1_name, "groups");
+      EXPECT_EQ(e.arg1, static_cast<int64_t>(r->rows.size()));
+      EXPECT_GT(e.arg1, 1);
+    }
+  }
+}
+
 TEST(EngineTrace, JoinBuildSpanCarriesRows) {
   EngineOptions opts;
   opts.mode = ExecMode::kInterp;

@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "src/common/task_scheduler.h"
 #include "src/engine/aggregator.h"
+#include "src/engine/partial_sink.h"
 #include "tests/engine_test_util.h"
 
 namespace proteus {
@@ -503,6 +505,142 @@ TEST_F(SplitTest, SplitIsDeterministic) {
     EXPECT_EQ(a[i].begin, b[i].begin);
     EXPECT_EQ(a[i].end, b[i].end);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Typed group-by partials: generated Nest pipelines fold into a typed
+// per-morsel table and box each distinct group once per morsel. The
+// interpreter (at any thread count) and generated code (at any thread or
+// shard count) must agree bit for bit on the group-by edge cases.
+// ---------------------------------------------------------------------------
+
+TEST(ParallelExecution, TypedNestGroupBysIdenticalAcrossEnginesAndThreads) {
+  const std::vector<std::string> queries = {
+      "SELECT fk, count(*), sum(v), max(s) FROM nest_bincol GROUP BY fk",
+      "SELECT fk, count(*), min(v), min(s) FROM nest_csv GROUP BY fk",
+      "SELECT day, count(*), sum(v), max(s) FROM nest_json GROUP BY day",
+      "SELECT day, count(*), min(v) FROM nest_csv WHERE v > 0.0 GROUP BY day",
+      "SELECT s, count(*), max(flag), sum(day) FROM nest_bincol GROUP BY s",
+  };
+  auto run = [](const std::string& q, ExecMode mode, int threads, int shards) {
+    EngineOptions opts;
+    opts.mode = mode;
+    opts.num_threads = threads;
+    opts.num_shards = shards;
+    opts.morsel_rows = kTestMorselRows;
+    QueryEngine engine(opts);
+    testutil::RegisterNestCorpus(&engine);
+    auto r = engine.Execute(q);
+    EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
+    EXPECT_EQ(engine.telemetry().used_jit, mode == ExecMode::kJIT)
+        << q << ": " << engine.telemetry().fallback_reason;
+    return r.ok() ? *r : QueryResult{};
+  };
+  for (const auto& q : queries) {
+    const QueryResult oracle = run(q, ExecMode::kInterp, 1, 0);
+    ASSERT_FALSE(oracle.rows.empty()) << q;
+    for (int threads : {1, 4}) {
+      const std::string at = " @ threads=" + std::to_string(threads);
+      testutil::ExpectBitIdentical(oracle, run(q, ExecMode::kInterp, threads, 0),
+                                   q + " interp" + at);
+      testutil::ExpectBitIdentical(oracle, run(q, ExecMode::kJIT, threads, 0), q + " jit" + at);
+    }
+    testutil::ExpectBitIdentical(oracle, run(q, ExecMode::kJIT, 4, 2), q + " jit @ 2 shards");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GroupTable: the open-addressing (hash, group) index and the accumulator
+// slab behind every Nest partial.
+// ---------------------------------------------------------------------------
+
+OpPtr CountSumNest() {
+  return Operator::Nest(Operator::Scan("d", "x"), Expr::Proj(Expr::Var("x"), "k"), "k",
+                        {{Monoid::kCount, nullptr, "c"},
+                         {Monoid::kSum, Expr::Proj(Expr::Var("x"), "v"), "s"}});
+}
+
+EvalEnv KeyRow(Value key, double v) {
+  EvalEnv env;
+  env["x"] = Value::MakeRecord({"k", "v"}, {std::move(key), Value::Float(v)});
+  return env;
+}
+
+TEST(GroupTable, MergeFromKeepsFirstAppearanceOrder) {
+  OpPtr nest = CountSumNest();
+  GroupTable a;
+  GroupTable b;
+  for (int64_t k : {3, 1, 2, 1}) ASSERT_TRUE(a.AddRow(*nest, KeyRow(Value::Int(k), 1.0)).ok());
+  for (int64_t k : {5, 1, 4, 3, 5}) {
+    ASSERT_TRUE(b.AddRow(*nest, KeyRow(Value::Int(k), 0.5)).ok());
+  }
+  a.MergeFrom(*nest, std::move(b));
+  const std::vector<int64_t> order = {3, 1, 2, 5, 4};
+  const std::vector<int64_t> counts = {2, 3, 1, 2, 1};
+  ASSERT_EQ(a.keys.size(), order.size());
+  for (size_t g = 0; g < order.size(); ++g) {
+    EXPECT_EQ(a.keys[g].i(), order[g]) << "group " << g;
+    EXPECT_EQ(a.group_aggs(g)[0].Final().i(), counts[g]) << "group " << g;
+  }
+  EXPECT_DOUBLE_EQ(a.group_aggs(1)[1].Final().f(), 2.5);  // key 1: 1.0 + 1.0 + 0.5
+}
+
+TEST(GroupTable, WireRoundTripOfOverAThousandGroups) {
+  OpPtr nest = CountSumNest();
+  GroupTable t;
+  t.count_bytes = false;
+  for (int64_t i = 0; i < 3000; ++i) {
+    // 1500 groups, alternating int and string keys, each seen twice.
+    Value key = (i % 1500) % 2 == 0 ? Value::Int(i % 1500)
+                                    : Value::Str("g" + std::to_string(i % 1500));
+    ASSERT_TRUE(t.AddRow(*nest, KeyRow(std::move(key), 0.25 * static_cast<double>(i))).ok());
+  }
+  ASSERT_EQ(t.keys.size(), 1500u);
+  WireWriter w;
+  t.Serialize(&w);
+  const std::string bytes = w.Take();
+  WireReader r(bytes);
+  auto back = GroupTable::Deserialize(&r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_TRUE(r.AtEnd());
+  ASSERT_EQ(back->keys.size(), t.keys.size());
+  for (size_t g = 0; g < t.keys.size(); ++g) {
+    ASSERT_TRUE(t.GroupRecord(*nest, g).Equals(back->GroupRecord(*nest, g))) << "group " << g;
+  }
+  // The rebuilt index finds every group instead of appending duplicates.
+  for (size_t g = 0; g < t.keys.size(); ++g) {
+    ASSERT_EQ(back->UpsertKey(*nest, t.keys[g]), g);
+  }
+  EXPECT_EQ(back->keys.size(), 1500u);
+}
+
+TEST(GroupTable, IndexGrowthFindsEveryKey) {
+  OpPtr nest = CountSumNest();
+  GroupTable t;
+  t.count_bytes = false;
+  // Every insert may cross a load-factor threshold (the index doubles past
+  // half full); after each one, all earlier keys must still resolve.
+  std::vector<Value> keys;
+  for (int64_t i = 0; i < 600; ++i) {
+    keys.push_back(i % 3 == 0 ? Value::Float(0.5 * static_cast<double>(i))
+                              : Value::Int(i * 7919));
+    ASSERT_EQ(t.UpsertKey(*nest, keys.back()), keys.size() - 1);
+    if ((keys.size() & (keys.size() - 1)) == 0) {  // power of two: just grew
+      for (size_t g = 0; g < keys.size(); ++g) ASSERT_EQ(t.UpsertKey(*nest, keys[g]), g);
+    }
+  }
+  for (size_t g = 0; g < keys.size(); ++g) ASSERT_EQ(t.UpsertKey(*nest, keys[g]), g);
+  EXPECT_EQ(t.keys.size(), keys.size());
+  // Value::Equals semantics: -0.0 finds the 0.0 group (i = 0) and 7919.0
+  // the Int(7919) group (i = 1).
+  EXPECT_EQ(t.UpsertKey(*nest, Value::Float(-0.0)), 0u);
+  EXPECT_EQ(t.UpsertKey(*nest, Value::Float(7919.0)), 1u);
+  // A null key is one group; a NaN key never matches, not even itself.
+  const size_t null_group = t.UpsertKey(*nest, Value::Null());
+  EXPECT_EQ(t.UpsertKey(*nest, Value::Null()), null_group);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t nan_group = t.UpsertKey(*nest, Value::Float(nan));
+  EXPECT_NE(t.UpsertKey(*nest, Value::Float(nan)), nan_group);
 }
 
 }  // namespace

@@ -103,6 +103,12 @@ Result<GroupTable> GroupTable::Deserialize(WireReader* r) {
     PROTEUS_ASSIGN_OR_RETURN(uint64_t na, r->U64());
     if (na > r->remaining()) return Status::InvalidArgument("wire: bad aggregate count");
     if (g == 0) {
+      // Every serialized Aggregator takes at least one byte, so a slab
+      // larger than the unread payload is malformed — checked before the
+      // reservation, which would otherwise trust two wire counts' product.
+      if (na != 0 && n > r->remaining() / na) {
+        return Status::InvalidArgument("wire: bad aggregate count");
+      }
       t.width = na;
       t.aggs.reserve(n * na);
     } else if (na != t.width) {

@@ -108,7 +108,8 @@ struct TypedGroupSpec {
   /// Per Nest output: kInt64 / kBool / kFloat64 accumulator bits, or
   /// kString for a string min/max (the slot then points at a std::string).
   std::vector<TypeKind> slots;
-  /// Per output: the accumulator's start bits (the fold's identity).
+  /// Per output: the accumulator's start bits (the identity for count, sum,
+  /// and/or; max/min replace them with the first contributing value).
   std::vector<int64_t> init;
 };
 

@@ -198,8 +198,20 @@ class Codegen {
                       std::optional<TypedGroupSpec>* spec);
   /// One step of a scalar monoid fold over `kind` registers (kInt64,
   /// kFloat64, or kBool for and/or) — shared by EmitScalarReduce and
-  /// EmitNestFold. Count is an add of 1 and never reaches here.
-  llvm::Value* FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x);
+  /// EmitNestFold. Count is an add of 1 and never reaches here. Max/min
+  /// follow Aggregator::Add exactly: the first contributing value (i1
+  /// `first`, read only by max/min) is taken as is — a NaN included, which
+  /// then stays, as Value::Compare orders nothing against it — and a later
+  /// one replaces the extreme only when Value::Compare puts it strictly
+  /// beyond, comparing ints widened to double as Compare does.
+  llvm::Value* FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x,
+                        llvm::Value* first);
+  /// FoldStep's `first` for an output whose contributing-row count is
+  /// `seen`: seen == 0 for max/min, null for the monoids that ignore it.
+  llvm::Value* FirstRow(Monoid m, llvm::Value* seen) {
+    if (m != Monoid::kMax && m != Monoid::kMin) return nullptr;
+    return b_.CreateICmpEQ(seen, b_.getInt64(0));
+  }
 
   Result<CgValue> EmitExpr(const ExprPtr& e);
   Result<CgValue> EmitBinary(const ExprPtr& e);
@@ -1681,7 +1693,7 @@ Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups, bool null_
       llvm::Value* x = v.kind == TypeKind::kBool ? b_.CreateZExt(v.v, i64) : v.v;
       llvm::Value* raw = b_.CreateLoad(i64, val_ptr);
       llvm::Value* cur = reg == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy()) : raw;
-      llvm::Value* updated = FoldStep(o.monoid, reg, cur, x);
+      llvm::Value* updated = FoldStep(o.monoid, reg, cur, x, FirstRow(o.monoid, seen));
       llvm::Value* contrib = b_.getInt64(1);
       if (v.null != nullptr) {
         // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
@@ -1705,18 +1717,22 @@ Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups, bool null_
   return Status::OK();
 }
 
-llvm::Value* Codegen::FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x) {
-  if (kind == TypeKind::kFloat64) {
-    if (m == Monoid::kSum) return b_.CreateFAdd(cur, x);
-    if (m == Monoid::kMax) return b_.CreateSelect(b_.CreateFCmpOGT(x, cur), x, cur);
-    return b_.CreateSelect(b_.CreateFCmpOLT(x, cur), x, cur);
-  }
+llvm::Value* Codegen::FoldStep(Monoid m, TypeKind kind, llvm::Value* cur, llvm::Value* x,
+                               llvm::Value* first) {
   if (kind == TypeKind::kBool) {
     return m == Monoid::kAnd ? b_.CreateAnd(cur, x) : b_.CreateOr(cur, x);
   }
-  if (m == Monoid::kSum) return b_.CreateAdd(cur, x);
-  if (m == Monoid::kMax) return b_.CreateSelect(b_.CreateICmpSGT(x, cur), x, cur);
-  return b_.CreateSelect(b_.CreateICmpSLT(x, cur), x, cur);
+  if (m == Monoid::kSum) {
+    return kind == TypeKind::kFloat64 ? b_.CreateFAdd(cur, x) : b_.CreateAdd(cur, x);
+  }
+  llvm::Value* xd = x;
+  llvm::Value* cd = cur;
+  if (kind != TypeKind::kFloat64) {
+    xd = b_.CreateSIToFP(x, b_.getDoubleTy());
+    cd = b_.CreateSIToFP(cur, b_.getDoubleTy());
+  }
+  llvm::Value* beyond = m == Monoid::kMax ? b_.CreateFCmpOGT(xd, cd) : b_.CreateFCmpOLT(xd, cd);
+  return b_.CreateSelect(b_.CreateOr(first, beyond), x, cur);
 }
 
 // ---------------------------------------------------------------------------
@@ -1887,13 +1903,13 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
   // state, not a zero value, is what merges as the identity, exactly like an
   // interpreter partial whose Add() calls were all skipped. Null inputs
   // (outer-join drain rows, outer-unnest rows) contribute to count but not
-  // to value monoids, so the counters are per output, not per row.
+  // to value monoids, so the counters are per output, not per row. Max/min
+  // also read theirs in both modes: the first contributing value is taken
+  // as is (FoldStep).
   std::vector<llvm::Value*> rows_ptrs;
-  if (to_sink) {
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      rows_ptrs.push_back(EntryAlloca(b_.getInt64Ty(), nullptr, "rows"));
-      b_.CreateStore(b_.getInt64(0), rows_ptrs.back());
-    }
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    rows_ptrs.push_back(EntryAlloca(b_.getInt64Ty(), nullptr, "rows"));
+    b_.CreateStore(b_.getInt64(0), rows_ptrs.back());
   }
 
   auto update = [&]() -> Status {
@@ -1904,14 +1920,16 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
                        : a.kind == TypeKind::kBool  ? (llvm::Type*)b_.getInt1Ty()
                                                     : (llvm::Type*)b_.getInt64Ty();
       llvm::Value* cur = b_.CreateLoad(ty, a.ptr);
+      llvm::Value* seen = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
       llvm::Value* updated;
       llvm::Value* contrib = b_.getInt64(1);
       if (o.monoid == Monoid::kCount) {
         updated = b_.CreateAdd(cur, b_.getInt64(1));
       } else {
         PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-        updated =
-            FoldStep(o.monoid, a.kind, cur, a.kind == TypeKind::kFloat64 ? ToDouble(v) : v.v);
+        updated = FoldStep(o.monoid, a.kind, cur,
+                           a.kind == TypeKind::kFloat64 ? ToDouble(v) : v.v,
+                           FirstRow(o.monoid, seen));
         if (v.null != nullptr) {
           // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
           updated = b_.CreateSelect(v.null, cur, updated);
@@ -1919,11 +1937,7 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
         }
       }
       b_.CreateStore(updated, a.ptr);
-      if (to_sink) {
-        b_.CreateStore(
-            b_.CreateAdd(b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]), contrib),
-            rows_ptrs[i]);
-      }
+      b_.CreateStore(b_.CreateAdd(seen, contrib), rows_ptrs[i]);
     }
     return Status::OK();
   };

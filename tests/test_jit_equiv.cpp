@@ -1360,9 +1360,31 @@ TEST(TypedNest, GroupKeyEdgeCasesBitIdentical) {
       // String and bool keys.
       "SELECT s, count(*), max(flag), min(v), sum(day) FROM nest_json GROUP BY s",
       "SELECT flag, count(*), sum(v), min(s) FROM nest_bincol GROUP BY flag",
+      // Float min/max take a group's first contributing value as is: day
+      // groups whose first fk is NaN keep NaN, and each all-NaN fk group's
+      // extreme is that NaN.
+      "SELECT day, max(fk), min(fk), count(*) FROM nest_bincol GROUP BY day",
+      "SELECT day, max(fk), min(fk) FROM nest_csv GROUP BY day",
+      "SELECT fk, max(fk), min(fk) FROM nest_bincol GROUP BY fk",
+      // Int min/max compare widened to double, like Value::Compare: 2^53+3,
+      // 2^53+4 and 2^53+5 tie, so the first seen stays.
+      "SELECT flag, min(day + 9007199254740992), max(day + 9007199254740992) FROM nest_bincol "
+      "WHERE day > 2 GROUP BY flag",
   };
   for (const auto& q : queries) {
     ExpectTypedNestMatches([&](QueryEngine* e) { return e->Execute(q); }, q);
+  }
+  {
+    // The corpus really puts a NaN first in some day groups.
+    NestRun oracle = RunNestCase(
+        [](QueryEngine* e) {
+          return e->Execute("SELECT day, max(fk) FROM nest_bincol GROUP BY day");
+        },
+        ExecMode::kInterp, 1);
+    ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
+    size_t nan_max = 0;
+    for (const auto& row : oracle.info.result.rows) nan_max += std::isnan(row[1].f()) ? 1 : 0;
+    EXPECT_GT(nan_max, 0u);
   }
   // The corpus really exercises the float-key rules: 4 non-NaN keys plus
   // one group per NaN row (2 of every 9 rows), keyed -0.0 first.
@@ -1379,6 +1401,40 @@ TEST(TypedNest, GroupKeyEdgeCasesBitIdentical) {
   ASSERT_FALSE(r.info.result.rows.empty());
   EXPECT_TRUE(std::signbit(r.info.result.rows[0][0].f())) << "±0 group keyed by -0.0";
   EXPECT_EQ(r.info.result.rows[0][1].i(), 1460 / 9 * 4 + 1);
+}
+
+TEST(TypedNest, ScalarMinMaxFollowAggregatorAdd) {
+  // The scalar fold shares FoldStep with the typed nest: a NaN that comes
+  // first stays the extreme (the first row with day > 20 has a NaN fk), and
+  // ints compare widened to double (2^53+5 is seen before the tied +3/+4).
+  struct Case {
+    std::string sql;
+    std::function<void(const QueryResult&)> check;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT max(fk), min(fk), count(*) FROM nest_bincol WHERE day > 20",
+       [](const QueryResult& r) {
+         EXPECT_TRUE(std::isnan(r.rows[0][0].f()));
+         EXPECT_TRUE(std::isnan(r.rows[0][1].f()));
+       }},
+      {"SELECT max(fk), min(fk) FROM nest_csv WHERE day > 20", nullptr},
+      {"SELECT min(day + 9007199254740992) FROM nest_bincol WHERE day > 2",
+       [](const QueryResult& r) { EXPECT_EQ(r.rows[0][0].i(), 9007199254740992 + 5); }},
+  };
+  for (const auto& c : cases) {
+    auto run = [&](QueryEngine* e) { return e->Execute(c.sql); };
+    NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
+    ASSERT_TRUE(oracle.info.status.ok()) << c.sql << "\n" << oracle.info.status.ToString();
+    ASSERT_EQ(oracle.info.result.rows.size(), 1u) << c.sql;
+    if (c.check) c.check(oracle.info.result);
+    for (int threads : {1, 4}) {
+      NestRun jit = RunNestCase(run, ExecMode::kJIT, threads);
+      const std::string ctx = c.sql + " @ jit threads=" + std::to_string(threads);
+      ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
+      EXPECT_TRUE(jit.info.telemetry.used_jit) << ctx << ": " << jit.info.telemetry.fallback_reason;
+      testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
+    }
+  }
 }
 
 TEST(TypedNest, NullKeysAndAllNullGroupsBitIdentical) {

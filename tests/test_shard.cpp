@@ -425,6 +425,24 @@ TEST(PartialResultWire, RejectsMalformedPayloads) {
   EXPECT_FALSE(PartialResult::Deserialize(bytes + "x").ok());
 }
 
+TEST(PartialResultWire, GroupTableRejectsHugeCountsWithShortBody) {
+  // Group and aggregate counts that each fit in the unread bytes but whose
+  // product (the Aggregator slab) cannot: decode must return a clean error
+  // before reserving anything, not throw or exhaust memory.
+  for (uint64_t count : {uint64_t{4000}, uint64_t{100000}}) {
+    WireWriter w;
+    w.PutU64(count);  // groups
+    w.PutValue(Value::Int(0));
+    w.PutU64(count);  // aggregates per group
+    std::string bytes = w.Take();
+    bytes.append(count + 16, '\0');
+    WireReader r(bytes);
+    auto back = GroupTable::Deserialize(&r);
+    ASSERT_FALSE(back.ok()) << "count " << count;
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument) << back.status().ToString();
+  }
+}
+
 // The full malformed-payload matrix across every PartialResult kind:
 // EVERY proper prefix is a truncation and must fail cleanly, and trailing
 // garbage after a complete payload is rejected (decode must consume the

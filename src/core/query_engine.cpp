@@ -409,7 +409,7 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
       // The served module's tier — 1 normally, 2 when a background
       // promotion already swapped the aggressive module behind this key.
       tel.compile_tier =
-          jit.last_module() != nullptr ? jit.last_module()->tier : 1;
+          jit.last_module() != nullptr ? jit.last_module()->tier() : 1;
       tel.ir_verified = jit.last_module() != nullptr && jit.last_module()->ir_verified;
       if (parallel) {
         tel.threads_used = stats.threads_used;

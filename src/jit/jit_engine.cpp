@@ -152,6 +152,10 @@ class Codegen {
   /// Join-table ids of the outer chain joins, deepest-first — aligned with
   /// the generated proteus_drain<k> functions.
   const std::vector<uint32_t>& outer_join_tables() const { return outer_join_tables_; }
+  /// Records of every scan source the plan reads (a dataset scanned twice
+  /// counts twice), summed once the sources are open: the work the
+  /// compile's codegen level is sized for.
+  uint64_t scanned_records() const { return scanned_records_; }
 
  private:
   using Consume = std::function<Status()>;
@@ -333,6 +337,7 @@ class Codegen {
   std::unordered_map<std::string, CgValue> bindings_;       // virtual buffers
   std::unordered_map<std::string, llvm::Value*> oids_;      // var -> current oid (i64)
   std::unordered_map<std::string, ScanSource> sources_;     // var -> data source
+  uint64_t scanned_records_ = 0;
   std::unordered_map<std::string, TypePtr> var_types_;      // var -> record type
   std::unordered_map<std::string, std::vector<FieldPath>> needed_;  // var -> used paths
   std::unordered_map<const Operator*, uint32_t> join_ids_;
@@ -478,12 +483,14 @@ Status Codegen::Prepare(const OpPtr& op) {
                                ectx_.plugins->GetOrOpen(*info, ectx_.stats));
       sources_[op->binding()] = {info->format, plugin, nullptr, op->dataset(), 0};
       var_types_[op->binding()] = info->type->elem();
+      scanned_records_ += plugin->NumRecords();
       break;
     }
     case OpKind::kCacheScan: {
       if (ectx_.caches == nullptr) return Status::Internal("jit: cache scan w/o manager");
       auto blk = ectx_.caches->FindById(op->cache_id());
       if (blk == nullptr) return Status::NotFound("jit: cache block evicted");
+      scanned_records_ += blk->num_rows;
       ScanSource src{DataFormat::kCacheBlock, nullptr, std::move(blk), op->dataset(),
                      op->cache_id()};
       if (!op->dataset().empty()) {
@@ -890,10 +897,10 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
                                         {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
                                  {pp, oid, col});
           } else if (kind == TypeKind::kBool) {
-            llvm::Value* i = b_.CreateCall(Helper("proteus_csv_int", b_.getInt64Ty(),
+            llvm::Value* i = b_.CreateCall(Helper("proteus_csv_bool", b_.getInt32Ty(),
                                                   {i8p, b_.getInt64Ty(), b_.getInt32Ty()}),
                                            {pp, oid, col});
-            cv.v = b_.CreateICmpNE(i, b_.getInt64(0));
+            cv.v = b_.CreateICmpNE(i, b_.getInt32(0));
           } else {
             llvm::Value* len_ptr = EntryAlloca(b_.getInt64Ty());
             cv.v = b_.CreateCall(
@@ -1582,14 +1589,21 @@ Status Codegen::EmitNest(const OpPtr& op, const Consume& consume) {
 
     llvm::Value* row =
         b_.CreateCall(Helper("proteus_group_row", i64->getPointerTo(), {i8p, i64}), {groups, g});
-    for (size_t i = 0; i < op->outputs().size(); ++i) {
-      llvm::Value* raw =
-          b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(static_cast<uint32_t>(i))));
+    const auto width = static_cast<uint32_t>(op->outputs().size());
+    for (uint32_t i = 0; i < width; ++i) {
+      const Monoid m = op->outputs()[i].monoid;
+      llvm::Value* raw = b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(i)));
       CgValue cv;
       cv.kind = spec->slots[i];
       cv.v = cv.kind == TypeKind::kBool      ? b_.CreateICmpNE(raw, b_.getInt64(0))
              : cv.kind == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy())
                                              : raw;
+      if (m == Monoid::kMax || m == Monoid::kMin) {
+        // A group whose inputs were all null has no extreme: null, as in
+        // the interpreter, not the fold's start bits.
+        llvm::Value* rows = b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(width + i)));
+        cv.null = b_.CreateICmpEQ(rows, b_.getInt64(0));
+      }
       bindings_[Key(gvar, {op->outputs()[i].name})] = cv;
     }
     return consume();
@@ -1971,8 +1985,31 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
     return Status::OK();
   }
 
-  // Emit the single result row.
-  for (const Acc& a : accs) {
+  // Emit the single result row: each output as Aggregator::Final would read
+  // it. An accumulator that saw no contributing row already holds the empty
+  // result for count, and, or and int sums; a max/min is null instead and a
+  // float sum the integer 0.
+  for (size_t i = 0; i < accs.size(); ++i) {
+    const Acc& a = accs[i];
+    const bool extreme = a.monoid == Monoid::kMax || a.monoid == Monoid::kMin;
+    const bool float_sum = a.monoid == Monoid::kSum && a.kind == TypeKind::kFloat64;
+    llvm::BasicBlock* done_bb = nullptr;
+    if (extreme || float_sum) {
+      auto* empty_bb = llvm::BasicBlock::Create(*llctx_, "result.empty", fn_);
+      auto* value_bb = llvm::BasicBlock::Create(*llctx_, "result.value", fn_);
+      done_bb = llvm::BasicBlock::Create(*llctx_, "result.done", fn_);
+      llvm::Value* rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
+      b_.CreateCondBr(b_.CreateICmpEQ(rows, b_.getInt64(0)), empty_bb, value_bb);
+      b_.SetInsertPoint(empty_bb);
+      if (extreme) {
+        b_.CreateCall(Helper("proteus_result_emit_null", b_.getVoidTy(), {i8p}), {CtxPtr()});
+      } else {
+        b_.CreateCall(Helper("proteus_result_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
+                      {CtxPtr(), b_.getInt64(0)});
+      }
+      b_.CreateBr(done_bb);
+      b_.SetInsertPoint(value_bb);
+    }
     if (a.kind == TypeKind::kFloat64) {
       llvm::Value* v = b_.CreateLoad(b_.getDoubleTy(), a.ptr);
       b_.CreateCall(Helper("proteus_result_emit_double", b_.getVoidTy(), {i8p, b_.getDoubleTy()}),
@@ -1985,6 +2022,10 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
       llvm::Value* v = b_.CreateLoad(b_.getInt64Ty(), a.ptr);
       b_.CreateCall(Helper("proteus_result_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
                     {CtxPtr(), v});
+    }
+    if (done_bb != nullptr) {
+      b_.CreateBr(done_bb);
+      b_.SetInsertPoint(done_bb);
     }
   }
   b_.CreateCall(Helper("proteus_result_end_row", b_.getVoidTy(), {i8p}), {CtxPtr()});
@@ -2152,21 +2193,31 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
   return Status::OK();
 }
 
+/// The codegen level of a compile at `tier` over a plan whose scan sources
+/// hold `scanned_records` records: tier 2 is always aggressive, tier 1 sized
+/// to the work (jit::Tier1CodegenLevel).
+jit::CodegenLevel ChooseCodegenLevel(int tier, uint64_t scanned_records) {
+  return tier >= 2 ? jit::CodegenLevel::kAggressive : jit::Tier1CodegenLevel(scanned_records);
+}
+
 /// Generates `plan` and compiles it on the process-wide jit::JitSession into
 /// a position-independent jit::CompiledModule (parameter table + runtime
 /// layout instead of baked constants) that the CompiledQueryCache can reuse
 /// across executions, threads, and shards. With `pipe`, compiles in morsel
 /// mode (proteus_build + proteus_pipeline + proteus_drain<k>); without,
-/// legacy whole-relation mode (proteus_query). `tier` picks the session's
-/// (pass pipeline, TargetMachine) pair; entry points and results are
-/// identical across tiers, only the machine code differs.
-Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecContext& ctx,
-                                                                  const OpPtr& plan,
-                                                                  const MorselPipeline* pipe,
-                                                                  int tier = 1) {
+/// legacy whole-relation mode (proteus_query). `tier` picks the pass
+/// pipeline and, with the records the plan scans, the codegen level
+/// (ChooseCodegenLevel) unless `level` pins it; entry points and results are
+/// identical across levels, only the machine code differs.
+Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
+    const ExecContext& ctx, const OpPtr& plan, const MorselPipeline* pipe, int tier = 1,
+    std::optional<jit::CodegenLevel> level = std::nullopt) {
+  if (level.has_value() && jit::TierOf(*level) != tier) {
+    return Status::InvalidArgument("jit: codegen level does not belong to tier " +
+                                   std::to_string(tier));
+  }
   OBS_SPAN(ctx.trace, "jit_compile", "tier", tier);
   auto out = std::make_shared<jit::CompiledModule>();
-  out->tier = tier;
   jit::ParamTable param_table;
   Codegen cg(ctx, &out->layout, &param_table);
   {
@@ -2177,6 +2228,8 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
       PROTEUS_RETURN_NOT_OK(cg.Compile(plan));
     }
   }
+  // The plug-ins are open now (Codegen::Prepare), so the records are known.
+  out->level = level.value_or(ChooseCodegenLevel(tier, cg.scanned_records()));
   out->ir = cg.DumpIR();
   out->columns = cg.result_columns();
   out->row_records = cg.row_records();
@@ -2201,7 +2254,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(const ExecCont
   } else {
     entry_points = {"proteus_query"};
   }
-  PROTEUS_ASSIGN_OR_RETURN(out->code, jit::JitSession::Get().Compile(cg.module(), tier,
+  PROTEUS_ASSIGN_OR_RETURN(out->code, jit::JitSession::Get().Compile(cg.module(), out->level,
                                                                      entry_points, ctx.trace));
   if (pipe != nullptr) {
     out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(out->code->entry(0));
@@ -2244,14 +2297,20 @@ QueryCacheKey MakeQueryCacheKey(const ExecContext& ctx, const OpPtr& plan, Codeg
   return key;
 }
 
+CodegenLevel Tier1CodegenLevel(uint64_t scanned_records) {
+  return scanned_records < kTier1FastCodegenRecords ? CodegenLevel::kNone
+                                                    : CodegenLevel::kDefault;
+}
+
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx,
                                                           const OpPtr& plan, CodegenMode mode,
-                                                          int tier) {
+                                                          int tier,
+                                                          std::optional<CodegenLevel> level) {
   if (plan == nullptr || plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
   if (mode == CodegenMode::kWholeRelation) {
-    return CompileAndLink(ctx, plan, nullptr, tier);
+    return CompileAndLink(ctx, plan, nullptr, tier, level);
   }
   const OpPtr& top = plan->child(0);
   const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
@@ -2260,7 +2319,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
   if (!CollectMorselPipeline(pipe_root, &pipe)) {
     return Status::Unimplemented("jit: plan is not morsel-parallelizable");
   }
-  return CompileAndLink(ctx, plan, &pipe, tier);
+  return CompileAndLink(ctx, plan, &pipe, tier, level);
 }
 
 }  // namespace jit
@@ -2306,6 +2365,11 @@ const std::string& JitExecutor::last_ir() const {
 Result<QueryResult> JitExecutor::Execute(const OpPtr& plan) {
   PROTEUS_ASSIGN_OR_RETURN(std::shared_ptr<const jit::CompiledModule> mod,
                            GetOrCompileModule(plan, nullptr));
+  return ExecutePrecompiled(std::move(mod));
+}
+
+Result<QueryResult> JitExecutor::ExecutePrecompiled(
+    std::shared_ptr<const jit::CompiledModule> mod) {
   last_module_ = mod;
 
   // Fresh per-execution state: runtime tables from the recorded layout, data

@@ -78,13 +78,13 @@ struct JitSession::Impl {
     llvm::cantFail(runtime.define(llvm::orc::absoluteSymbols(std::move(symbols))));
   }
 
-  /// Free TargetMachines of one codegen opt level. Grows to the peak number
-  /// of concurrent compiles at that tier and never shrinks.
+  /// Free TargetMachines of one codegen level, and how many objects were
+  /// compiled on one. Grows to the peak number of concurrent compiles at
+  /// that level and never shrinks.
   struct Pool {
-    explicit Pool(llvm::CodeGenOpt::Level l) : level(l) {}
-    const llvm::CodeGenOpt::Level level;
     Mutex mu;
     std::vector<std::unique_ptr<llvm::TargetMachine>> free GUARDED_BY(mu);
+    std::atomic<uint64_t> codegens{0};
   };
 
   /// A checked-out TargetMachine, returned to its pool on destruction.
@@ -104,8 +104,12 @@ struct JitSession::Impl {
     std::unique_ptr<llvm::TargetMachine> tm_;
   };
 
-  Result<std::unique_ptr<Lease>> Acquire(int tier) {
-    Pool& pool = tier >= 2 ? aggressive : standard;
+  Pool& PoolOf(CodegenLevel level) {
+    return pools[level == CodegenLevel::kNone ? 0 : level == CodegenLevel::kDefault ? 1 : 2];
+  }
+
+  Result<std::unique_ptr<Lease>> Acquire(CodegenLevel level) {
+    Pool& pool = PoolOf(level);
     {
       MutexLock lock(pool.mu);
       if (!pool.free.empty()) {
@@ -115,7 +119,7 @@ struct JitSession::Impl {
       }
     }
     llvm::orc::JITTargetMachineBuilder builder = jtmb;
-    builder.setCodeGenOptLevel(pool.level);
+    builder.setCodeGenOptLevel(static_cast<llvm::CodeGenOpt::Level>(level));
     auto tm = builder.createTargetMachine();
     if (!tm) return LlvmError("target machine", tm.takeError());
     return std::make_unique<Lease>(&pool, std::move(*tm));
@@ -128,11 +132,9 @@ struct JitSession::Impl {
   llvm::orc::MangleAndInterner mangle;
   llvm::orc::RTDyldObjectLinkingLayer linker;
   llvm::orc::JITDylib& runtime;
-  Pool standard{llvm::CodeGenOpt::Default};
-  Pool aggressive{llvm::CodeGenOpt::Aggressive};
+  Pool pools[3];  // kNone, kDefault, kAggressive
   std::atomic<uint64_t> next_dylib{0};
   std::atomic<int64_t> live{0};
-  std::atomic<uint64_t> aggressive_codegens{0};
 };
 
 JitSession& JitSession::Get() {
@@ -149,23 +151,26 @@ JitSession::JitSession() : impl_(std::make_unique<Impl>()) {}
 const llvm::DataLayout& JitSession::data_layout() const { return impl_->dl; }
 const std::string& JitSession::target_triple() const { return impl_->triple; }
 int64_t JitSession::live_modules() const { return impl_->live.load(); }
-uint64_t JitSession::aggressive_codegens() const { return impl_->aggressive_codegens.load(); }
+uint64_t JitSession::codegens(CodegenLevel level) const {
+  return impl_->PoolOf(level).codegens.load();
+}
 
 Result<std::unique_ptr<LinkedCode>> JitSession::Compile(
-    llvm::Module& m, int tier, const std::vector<std::string>& entry_points,
+    llvm::Module& m, CodegenLevel level, const std::vector<std::string>& entry_points,
     obs::TraceRecorder* trace) {
-  PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<Impl::Lease> tm, impl_->Acquire(tier));
+  PROTEUS_ASSIGN_OR_RETURN(std::unique_ptr<Impl::Lease> tm, impl_->Acquire(level));
   {
     OBS_SPAN(trace, "llvm_opt");
-    PROTEUS_RETURN_NOT_OK(RunPassPipeline(m, **tm, tier));
+    PROTEUS_RETURN_NOT_OK(RunPassPipeline(m, **tm, TierOf(level)));
   }
   std::unique_ptr<llvm::MemoryBuffer> object;
   {
-    OBS_SPAN(trace, "llvm_codegen");
+    const auto machine_level = static_cast<CodegenLevel>((**tm).getOptLevel());
+    OBS_SPAN(trace, "llvm_codegen", "opt_level", static_cast<int64_t>(machine_level));
     auto obj = llvm::orc::SimpleCompiler(**tm)(m);
     if (!obj) return LlvmError("codegen", obj.takeError());
     object = std::move(*obj);
-    if ((**tm).getOptLevel() == llvm::CodeGenOpt::Aggressive) ++impl_->aggressive_codegens;
+    ++impl_->PoolOf(machine_level).codegens;
   }
 
   OBS_SPAN(trace, "jit_link");

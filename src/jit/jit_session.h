@@ -11,15 +11,23 @@
 //     linker: modules are optimized and compiled to an object file on the
 //     calling thread, and only the object is handed to ORC;
 //   - one "proteus_runtime" JITDylib defining jit::RuntimeSymbols();
-//   - a mutex-guarded pool of TargetMachines per tier. A TargetMachine is
-//     not thread-safe, so each compile checks one out for its pass pipeline
-//     and codegen, then returns it.
+//   - a mutex-guarded pool of TargetMachines per codegen level. A
+//     TargetMachine is not thread-safe, so each compile checks one out for
+//     its pass pipeline and codegen, then returns it.
 //
-// A tier is a choice of (pass pipeline, TargetMachine), nothing more:
-//   tier 1 — a fixed, lean function-pass list on a CodeGenOpt::Default TM
-//            (every foreground compile);
+// A tier is a pass pipeline plus a codegen level (the TargetMachine's
+// CodeGenOpt level), nothing more:
+//   tier 1 — a fixed, lean function-pass list (every foreground compile and
+//            the tiered controller's first compile), on a CodeGenOpt::None TM
+//            (FastISel, fast register allocator) when the plan scans few
+//            records, else on a CodeGenOpt::Default TM — see
+//            jit::Tier1CodegenLevel (jit_engine.h);
 //   tier 2 — the O3 module pipeline on a CodeGenOpt::Aggressive TM (the
 //            tiered controller's background recompile of a hot signature).
+// The level alone fixes the tier: kAggressive runs O3, the other two the
+// lean list (FastISel needs its sroa/instcombine cleanup as much as
+// SelectionDAG does).
+//
 // Generated modules are created with the host data layout and triple (see
 // data_layout()), so the pass pipeline optimizes under the layout codegen
 // uses.
@@ -57,6 +65,14 @@ class TraceRecorder;
 
 namespace jit {
 
+/// Codegen effort of one compile: the CodeGenOpt level of the TargetMachine
+/// it runs on. The values are LLVM's (llc -O0 / -O2 / -O3), which is also how
+/// the llvm_codegen span reports them.
+enum class CodegenLevel : uint8_t { kNone = 0, kDefault = 2, kAggressive = 3 };
+
+/// The tier a level belongs to: 2 for kAggressive, else 1.
+inline int TierOf(CodegenLevel level) { return level == CodegenLevel::kAggressive ? 2 : 1; }
+
 /// The machine code of one compiled module: a JITDylib of the shared
 /// session plus its resolved entry points. Destroying the handle removes the
 /// dylib and frees the code, so no entry point may run afterwards.
@@ -83,25 +99,26 @@ class JitSession {
   static JitSession& Get();
 
   /// Host data layout and target triple. Codegen stamps both on every
-  /// module it creates, for both tiers (they do not depend on the opt level).
+  /// module it creates, at every level (they do not depend on it).
   const llvm::DataLayout& data_layout() const;
   const std::string& target_triple() const;
 
-  /// Optimizes `m` with `tier`'s pass pipeline, compiles it to an object on
-  /// a pooled TargetMachine of that tier, links the object into a fresh
-  /// JITDylib, and resolves `entry_points` (LinkedCode::entry(i) is
-  /// entry_points[i]). Records the llvm_opt, llvm_codegen and jit_link spans
-  /// on `trace` (nullable). `m` is rewritten in place; the caller only
-  /// destroys it afterwards (before its LLVMContext).
-  Result<std::unique_ptr<LinkedCode>> Compile(llvm::Module& m, int tier,
+  /// Optimizes `m` with the pass pipeline of `level`'s tier, compiles it to
+  /// an object on a pooled TargetMachine of `level`, links the object into a
+  /// fresh JITDylib, and resolves `entry_points` (LinkedCode::entry(i) is
+  /// entry_points[i]). Records the llvm_opt, llvm_codegen (with the level as
+  /// its `opt_level` argument) and jit_link spans on `trace` (nullable). `m`
+  /// is rewritten in place; the caller only destroys it afterwards (before
+  /// its LLVMContext).
+  Result<std::unique_ptr<LinkedCode>> Compile(llvm::Module& m, CodegenLevel level,
                                               const std::vector<std::string>& entry_points,
                                               obs::TraceRecorder* trace);
 
   /// LinkedCode handles currently alive, process-wide.
   int64_t live_modules() const;
-  /// Objects compiled on a CodeGenOpt::Aggressive TargetMachine since start
-  /// (read from the checked-out machine, not from the requested tier).
-  uint64_t aggressive_codegens() const;
+  /// Objects compiled at `level` since start (read from the checked-out
+  /// machine, not from the requested level).
+  uint64_t codegens(CodegenLevel level) const;
 
  private:
   friend class LinkedCode;

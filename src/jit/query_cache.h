@@ -39,6 +39,7 @@
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/engine/partial_sink.h"
+#include "src/jit/jit_session.h"
 #include "src/plugins/plugin.h"
 
 namespace proteus {
@@ -52,7 +53,6 @@ class TraceRecorder;
 
 namespace jit {
 
-class LinkedCode;
 struct QueryRuntime;
 
 /// Which entry points a module was generated with. Whole-relation and
@@ -173,13 +173,15 @@ struct CompiledModule {
   using DrainFn = void (*)(void*, void*, const uint8_t*, const int64_t*);
 
   std::unique_ptr<LinkedCode> code;  ///< owns the machine code
-  /// Optimization tier this module was compiled at: 1 = the lean fixed pass
-  /// list on a CodeGenOpt::Default target machine (every foreground
-  /// compile), 2 = O3 on a CodeGenOpt::Aggressive one (the background
-  /// recompile the tiered controller requests once the cache proves a
-  /// signature hot). Same session, same entry points, same results — only
-  /// the machine code differs.
-  int tier = 1;
+  /// Codegen level this module was compiled at, which fixes its tier
+  /// (jit_session.h): kNone or kDefault = tier 1, the lean fixed pass list on
+  /// the target machine its plan's scanned records call for
+  /// (Tier1CodegenLevel); kAggressive = tier 2, O3 (the background recompile
+  /// the tiered controller requests once the cache proves a signature hot).
+  /// Same session, same entry points, same results — only the machine code
+  /// differs.
+  CodegenLevel level = CodegenLevel::kDefault;
+  int tier() const { return TierOf(level); }
   std::vector<std::string> columns;
   bool row_records = false;
   std::string ir;                    ///< unoptimized IR, for inspection

@@ -13,6 +13,7 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
   return {
       {"proteus_csv_int", reinterpret_cast<void*>(&proteus_csv_int)},
       {"proteus_csv_double", reinterpret_cast<void*>(&proteus_csv_double)},
+      {"proteus_csv_bool", reinterpret_cast<void*>(&proteus_csv_bool)},
       {"proteus_csv_str", reinterpret_cast<void*>(&proteus_csv_str)},
       {"proteus_json_has", reinterpret_cast<void*>(&proteus_json_has)},
       {"proteus_json_int_opt", reinterpret_cast<void*>(&proteus_json_int_opt)},
@@ -182,6 +183,11 @@ int64_t proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col) {
 double proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col) {
   std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
   return ParseDoubleSpan(t.data(), t.data() + t.size());
+}
+
+int32_t proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col) {
+  std::string_view t = static_cast<const CsvPlugin*>(plugin)->FieldText(oid, col);
+  return t == "true" || t == "1" ? 1 : 0;
 }
 
 const char* proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, int64_t* len) {

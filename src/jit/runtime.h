@@ -125,6 +125,8 @@ extern "C" {
 // CSV field access (the CSV plug-in's generated access path).
 int64_t proteus_csv_int(const void* plugin, uint64_t oid, uint32_t col);
 double proteus_csv_double(const void* plugin, uint64_t oid, uint32_t col);
+/// 1 when the field reads "true" or "1" (the CSV plug-in's bool rule).
+int32_t proteus_csv_bool(const void* plugin, uint64_t oid, uint32_t col);
 const char* proteus_csv_str(const void* plugin, uint64_t oid, uint32_t col, int64_t* len);
 
 // JSON field access through the structural index. proteus_json_has reports

@@ -276,13 +276,13 @@ Result<PlanPartials> RunTiered(const ExecContext& ctx, const OpPtr& plan,
     }
   }
   if (stats->morsels_jit > 0 && module != nullptr) {
-    stats->compile_tier = module->tier;
+    stats->compile_tier = module->tier();
     stats->ir_verified = module->ir_verified;
   }
 
   // Hot-signature promotion: a tier-1 module that keeps earning cache hits
   // gets the aggressive recompile queued behind the same key.
-  if (module != nullptr && module->tier == 1 && ctx.jit_cache != nullptr &&
+  if (module != nullptr && module->tier() == 1 && ctx.jit_cache != nullptr &&
       opts.tier2_hit_threshold > 0 &&
       ctx.jit_cache->HitCount(key) >= opts.tier2_hit_threshold) {
     ctx.tiered->EnqueuePromotion(ctx, plan);

@@ -18,12 +18,13 @@
 // Tiers: both tiers compile on the one process-wide jit::JitSession and
 // differ only in (pass pipeline, target machine). The background compile
 // produces the tier-1 module every foreground path uses (a fixed lean
-// function-pass list, CodeGenOpt::Default codegen). Once the compiled-query
-// cache's hit count proves a signature hot, the controller enqueues a
-// tier-2 recompile — O3 plus CodeGenOpt::Aggressive codegen — and
-// Promote()s it behind the same cache key with single-flight semantics;
-// in-flight executions finish safely on the module they hold, and the
-// replaced module's code is freed when the last of them drops it.
+// function-pass list, codegen level sized to the records the plan scans —
+// jit::Tier1CodegenLevel). Once the compiled-query cache's hit count proves
+// a signature hot, the controller enqueues a tier-2 recompile — O3 plus
+// CodeGenOpt::Aggressive codegen — and Promote()s it behind the same cache
+// key with single-flight semantics; in-flight executions finish safely on
+// the module they hold, and the replaced module's code is freed when the
+// last of them drops it.
 //
 // Concurrency: one worker thread per TieredCompiler (one per engine), a
 // mutex/cv job queue, and per-key coalescing — N shard controllers that ask

@@ -121,6 +121,7 @@ void QueryServer::SessionLoop(Session* s) {
     }
     switch (frame->type) {
       case FrameType::kQuery: {
+        ReapFinished(s);
         auto text = DecodeQueryBody(frame->body);
         if (!text.ok()) {
           // The frame itself was well-formed, so the stream is still in
@@ -140,10 +141,13 @@ void QueryServer::SessionLoop(Session* s) {
                                    "duplicate query_id on this connection"))});
             break;
           }
-          s->workers.emplace_back([this, s, id = frame->query_id,
-                                   q = std::move(*text)]() mutable {
+          const uint64_t worker = s->next_worker++;
+          s->workers.emplace(worker, std::thread([this, s, worker, id = frame->query_id,
+                                                  q = std::move(*text)]() mutable {
             RunQuery(s, id, std::move(q));
-          });
+            MutexLock done(s->mu);
+            s->finished.push_back(worker);
+          }));
         }
         break;
       }
@@ -164,12 +168,37 @@ void QueryServer::SessionLoop(Session* s) {
   }
   // The reader owns its workers: join them before the session winds down so
   // Stop() only ever joins readers.
-  std::vector<std::thread> workers;
+  std::unordered_map<uint64_t, std::thread> workers;
   {
     MutexLock lk(s->mu);
     workers.swap(s->workers);
+    s->finished.clear();
   }
-  for (auto& w : workers) w.join();
+  for (auto& entry : workers) entry.second.join();
+}
+
+void QueryServer::ReapFinished(Session* s) {
+  std::vector<std::thread> done;
+  {
+    MutexLock lk(s->mu);
+    for (uint64_t worker : s->finished) {
+      auto it = s->workers.find(worker);
+      done.push_back(std::move(it->second));
+      s->workers.erase(it);
+    }
+    s->finished.clear();
+  }
+  for (auto& w : done) w.join();
+}
+
+size_t QueryServer::worker_threads() const {
+  MutexLock lk(sessions_mu_);
+  size_t n = 0;
+  for (const auto& s : sessions_) {
+    MutexLock slk(s->mu);
+    n += s->workers.size();
+  }
+  return n;
 }
 
 void QueryServer::RunQuery(Session* s, uint64_t query_id, std::string text) {

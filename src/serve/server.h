@@ -20,9 +20,10 @@
 // Threading: one accept thread; one reader thread per connection; one
 // worker thread per in-flight query (the worker parks in the admission
 // queue, not the reader — so cancels and new queries keep flowing while a
-// query waits for a slot). Responses to one connection serialize on its
-// write mutex; responses to different queries may arrive in any order, keyed
-// by query_id.
+// query waits for a slot; the reader joins finished workers before it
+// starts the next, so a long-lived connection does not accumulate them).
+// Responses to one connection serialize on its write mutex; responses to
+// different queries may arrive in any order, keyed by query_id.
 #pragma once
 
 #include <atomic>
@@ -71,19 +72,32 @@ class QueryServer {
 
   const AdmissionGate& admission() const { return gate_; }
 
+  /// Query worker threads the server holds across all connections: running
+  /// ones plus finished ones not yet joined. A connection's reader joins its
+  /// finished workers before it starts the next one, so this stays near the
+  /// number of queries in flight however long a connection lives.
+  size_t worker_threads() const EXCLUDES(sessions_mu_);
+
  private:
   struct Session {
     int fd = -1;
     std::thread reader;
     Mutex write_mu;  ///< one response frame at a time per connection
-    Mutex mu;        ///< guards cancels + workers
+    Mutex mu;        ///< guards cancels, workers and finished
     std::unordered_map<uint64_t, std::shared_ptr<std::atomic<bool>>> cancels
         GUARDED_BY(mu);
-    std::vector<std::thread> workers GUARDED_BY(mu);
+    /// Worker threads by spawn number (query ids may be reused once a query
+    /// finishes, so they cannot key the threads).
+    std::unordered_map<uint64_t, std::thread> workers GUARDED_BY(mu);
+    uint64_t next_worker GUARDED_BY(mu) = 0;
+    /// Spawn numbers of workers whose query is done, awaiting their join.
+    std::vector<uint64_t> finished GUARDED_BY(mu);
   };
 
   void AcceptLoop();
   void SessionLoop(Session* s);
+  /// Joins `s`'s finished workers (they have returned or are returning).
+  static void ReapFinished(Session* s);
   void RunQuery(Session* s, uint64_t query_id, std::string text);
   static void SendFrame(Session* s, const Frame& f);
 
@@ -95,7 +109,7 @@ class QueryServer {
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  Mutex sessions_mu_;
+  mutable Mutex sessions_mu_;
   std::vector<std::unique_ptr<Session>> sessions_ GUARDED_BY(sessions_mu_);
 };
 

@@ -56,7 +56,7 @@ Status ShardExecutor::Run(const ShardTask& task, ShardTransport* transport) {
     if (r.ok()) {
       partials = std::move(*r);
       jit_ran_ = true;
-      served_tier_ = jit.last_module() != nullptr ? jit.last_module()->tier : 1;
+      served_tier_ = jit.last_module() != nullptr ? jit.last_module()->tier() : 1;
       ir_verified_ = jit.last_module() != nullptr && jit.last_module()->ir_verified;
       morsels_run_ = task.morsel_end - task.morsel_begin;
     } else if (r.status().code() != StatusCode::kUnimplemented) {

@@ -12,9 +12,13 @@
 #include <limits>
 #include <random>
 
+#include "src/calculus/calculus.h"
 #include "src/core/query_engine.h"
 #include "src/datagen/spam.h"
 #include "src/datagen/tpch.h"
+#include "src/jit/jit_engine.h"
+#include "src/optimizer/optimizer.h"
+#include "src/parser/parser.h"
 #include "src/storage/bincol_format.h"
 #include "src/storage/binrow_format.h"
 #include "src/storage/text_writers.h"
@@ -280,6 +284,80 @@ inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b,
                         << " vs " << y.ToString();
     }
   }
+}
+
+/// The physical plan QueryEngine::ExecutePlan(logical) runs on `engine`
+/// (before any scan-cache rewrite).
+inline OpPtr PhysicalPlan(QueryEngine* engine, OpPtr logical) {
+  auto physical =
+      Optimizer(engine->catalog(), engine->options().optimizer).Optimize(std::move(logical));
+  EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+  return physical.ok() ? *physical : nullptr;
+}
+
+/// The physical plan QueryEngine::Execute(sql) runs on `engine`.
+inline OpPtr PhysicalPlan(QueryEngine* engine, const std::string& sql) {
+  auto comp = ParseQuery(sql, engine->catalog());
+  EXPECT_TRUE(comp.ok()) << sql << "\n" << comp.status().ToString();
+  if (!comp.ok()) return nullptr;
+  Normalize(&*comp);
+  auto logical = ToAlgebra(*comp, engine->catalog());
+  EXPECT_TRUE(logical.ok()) << sql << "\n" << logical.status().ToString();
+  return logical.ok() ? PhysicalPlan(engine, *logical) : nullptr;
+}
+
+/// The execution context `engine` hands its executors (no trace, tiered
+/// controller or cancel flag).
+inline ExecContext ContextOf(QueryEngine* engine) {
+  ExecContext ctx;
+  ctx.catalog = &engine->catalog();
+  ctx.plugins = &engine->plugins();
+  ctx.caches = &engine->caches();
+  ctx.scheduler = &engine->scheduler();
+  ctx.jit_cache = engine->jit_cache();
+  ctx.morsel_rows = engine->options().morsel_rows;
+  return ctx;
+}
+
+/// Compiles `sql`'s morsel pipelines at tier 1 with the codegen level pinned
+/// to `level` and installs the module in `engine`'s compiled-query cache, so
+/// the next Execute(sql) — at any thread or shard count — runs this machine
+/// code instead of the level the engine would pick. Runs the query once
+/// first, so the plug-ins and statistics the plan depends on exist. Returns
+/// the installed module (null on failure).
+inline std::shared_ptr<const jit::CompiledModule> InstallModuleAt(QueryEngine* engine,
+                                                                  const std::string& sql,
+                                                                  jit::CodegenLevel level) {
+  auto warm = engine->Execute(sql);
+  EXPECT_TRUE(warm.ok()) << sql << "\n" << warm.status().ToString();
+  OpPtr plan = PhysicalPlan(engine, sql);
+  if (plan == nullptr || engine->jit_cache() == nullptr) return nullptr;
+  const ExecContext ctx = ContextOf(engine);
+  auto module = jit::CompilePlan(ctx, plan, jit::CodegenMode::kMorsel, jit::TierOf(level), level);
+  EXPECT_TRUE(module.ok()) << sql << "\n" << module.status().ToString();
+  if (!module.ok()) return nullptr;
+  EXPECT_EQ((*module)->level, level) << sql;
+  EXPECT_TRUE(engine->jit_cache()->Promote(
+      jit::MakeQueryCacheKey(ctx, plan, jit::CodegenMode::kMorsel), *module))
+      << sql;
+  return *module;
+}
+
+/// Tier 1 compiles the small test corpora at CodeGenOpt::None. This runs
+/// `sql` on `engine` (JIT mode) with its module installed at `level`
+/// instead, so the other tier-1 machine code stays covered, and expects the
+/// installed module to serve a result bit-identical to `oracle`.
+inline void ExpectInstalledLevelMatches(QueryEngine* engine, const std::string& sql,
+                                        jit::CodegenLevel level, const QueryResult& oracle,
+                                        const std::string& ctx) {
+  ASSERT_NE(InstallModuleAt(engine, sql, level), nullptr) << ctx;
+  QueryTelemetry tel;
+  CallOptions call;
+  call.telemetry = &tel;
+  auto r = engine->Execute(sql, call);
+  ASSERT_TRUE(r.ok()) << ctx << "\n" << r.status().ToString();
+  EXPECT_TRUE(tel.used_jit && tel.jit_cache_hit) << ctx << ": the installed module must serve";
+  ExpectBitIdentical(oracle, *r, ctx);
 }
 
 }  // namespace testutil

@@ -1488,5 +1488,128 @@ TEST(TypedNest, NullKeysAndAllNullGroupsBitIdentical) {
       "outer join drain, null key", /*outer_join=*/true);
 }
 
+// ---------------------------------------------------------------------------
+// jit::CompilePlan at a pinned codegen level. Tier 1 picks CodeGenOpt::None
+// or Default from the records a plan scans, and every test corpus is small
+// enough for None, so these cases pin each tier-1 level through CompilePlan
+// and require both machine codes to match the 1-thread interpreter bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+constexpr jit::CodegenLevel kTierOneLevels[] = {jit::CodegenLevel::kNone,
+                                                jit::CodegenLevel::kDefault};
+
+const char* LevelName(jit::CodegenLevel level) {
+  return level == jit::CodegenLevel::kNone ? "None" : "Default";
+}
+
+/// Compiles the physical plan of `logical(engine)` through jit::CompilePlan
+/// at tier 1 with the codegen level pinned to `level`, then runs it once:
+/// as one whole-relation call, or over every morsel of the plan's
+/// decomposition folded through FinalizePlanPartials.
+EngineRun CompiledAt(std::function<OpPtr(QueryEngine*)> physical, jit::CodegenMode mode,
+                     jit::CodegenLevel level) {
+  return [physical, mode, level](QueryEngine* e) -> Result<QueryResult> {
+    OpPtr plan = physical(e);
+    if (plan == nullptr) return Status::InvalidArgument("no plan");
+    const ExecContext ctx = testutil::ContextOf(e);
+    PROTEUS_ASSIGN_OR_RETURN(std::shared_ptr<const jit::CompiledModule> module,
+                             jit::CompilePlan(ctx, plan, mode, /*tier=*/1, level));
+    if (module->level != level) return Status::Internal("module compiled at another level");
+    JitExecutor jit(ctx);
+    if (mode == jit::CodegenMode::kWholeRelation) return jit.ExecutePrecompiled(module);
+    InterpExecutor interp(ctx);
+    PROTEUS_ASSIGN_OR_RETURN(uint64_t morsels, interp.CountPlanMorsels(plan));
+    PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
+                             jit.ExecutePartialsPrecompiled(plan, module, 0, morsels));
+    const Operator* nest =
+        plan->child(0)->kind() == OpKind::kNest ? plan->child(0).get() : nullptr;
+    return FinalizePlanPartials(*plan, nest, std::move(partials));
+  };
+}
+
+std::function<OpPtr(QueryEngine*)> SqlPlan(const std::string& sql) {
+  return [sql](QueryEngine* e) { return testutil::PhysicalPlan(e, sql); };
+}
+
+/// Runs `physical` at both tier-1 levels in `mode` and expects each result
+/// to be bit-identical to `oracle`.
+void ExpectBothLevelsMatch(const NestRun& oracle,
+                           const std::function<OpPtr(QueryEngine*)>& physical,
+                           jit::CodegenMode mode, const std::string& what) {
+  ASSERT_TRUE(oracle.info.status.ok()) << what << "\n" << oracle.info.status.ToString();
+  for (jit::CodegenLevel level : kTierOneLevels) {
+    const std::string ctx = what + " @ CodeGenOpt::" + LevelName(level);
+    NestRun jit = RunNestCase(CompiledAt(physical, mode, level), ExecMode::kJIT, 4);
+    ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
+    testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
+  }
+}
+
+TEST(CompiledLevels, MorselPlansBitIdenticalAtBothTierOneLevels) {
+  std::vector<std::string> queries;
+  for (const DiffCase& c : DiffCases()) {
+    // Mixed int/float if-branches widen to float in generated code, so they
+    // match the interpreter by value, not by kind; the matrix covers them.
+    if (c.name.rfind("if_mixed", 0) != 0) queries.push_back(c.query);
+  }
+  for (const char* ds : {"nest_bincol", "nest_csv", "nest_json"}) {
+    const std::string d(ds);
+    queries.push_back("SELECT fk, count(*), sum(v), max(v), min(fk) FROM " + d + " GROUP BY fk");
+    queries.push_back("SELECT day, count(*), sum(v), max(s), min(day) FROM " + d +
+                      " GROUP BY day");
+    queries.push_back("SELECT s, count(*), max(flag), min(v), sum(day) FROM " + d +
+                      " GROUP BY s");
+    queries.push_back("SELECT max(fk), min(fk), sum(v), count(*) FROM " + d + " WHERE day > 20");
+  }
+  for (const std::string& q : queries) {
+    NestRun oracle =
+        RunNestCase([&](QueryEngine* e) { return e->Execute(q); }, ExecMode::kInterp, 1);
+    ExpectBothLevelsMatch(oracle, SqlPlan(q), jit::CodegenMode::kMorsel, q);
+  }
+}
+
+TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
+  // The whole-relation root emits the interpreter's empty results: a max or
+  // min that saw no row is null, an empty float sum is the integer 0.
+  for (const char* ds : {"nest_bincol", "nest_csv", "nest_json"}) {
+    const std::string q = std::string("SELECT max(v), min(fk), max(day), min(day), sum(v), "
+                                      "sum(day), count(*) FROM ") +
+                          ds + " WHERE day < 0";
+    NestRun oracle =
+        RunNestCase([&](QueryEngine* e) { return e->Execute(q); }, ExecMode::kInterp, 1);
+    ASSERT_TRUE(oracle.info.status.ok()) << q << "\n" << oracle.info.status.ToString();
+    ASSERT_EQ(oracle.info.result.rows.size(), 1u) << q;
+    EXPECT_TRUE(oracle.info.result.rows[0][0].is_null()) << q;
+    EXPECT_TRUE(oracle.info.result.rows[0][4].is_int()) << q;
+    ExpectBothLevelsMatch(oracle, SqlPlan(q), jit::CodegenMode::kWholeRelation, q);
+  }
+  // Group rows a whole-relation Nest hands to its consumer: the groups of
+  // orders with an empty lineitems array see only the outer unnest's null
+  // element, so their max/min stay null.
+  auto grouped = [] {
+    OpPtr unnest = Operator::Unnest(Operator::Scan("holey_denorm", "o"), {"o", "lineitems"},
+                                    "l", nullptr, /*outer=*/true);
+    OpPtr nest = Operator::Nest(unnest, Proj("o", "o_orderkey"), "k",
+                                {{Monoid::kCount, nullptr, "n"},
+                                 {Monoid::kMax, Proj("l", "l_quantity"), "maxq"},
+                                 {Monoid::kMin, Proj("l", "l_linenumber"), "minl"}},
+                                nullptr, "g");
+    ExprPtr rec = Expr::Record({"k", "n", "maxq", "minl"},
+                               {Proj("g", "k"), Proj("g", "n"), Proj("g", "maxq"),
+                                Proj("g", "minl")});
+    return Operator::Reduce(nest, {{Monoid::kBag, rec, "rows"}});
+  };
+  NestRun oracle =
+      RunNestCase([&](QueryEngine* e) { return e->ExecutePlan(grouped()); }, ExecMode::kInterp, 1);
+  ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
+  size_t null_max = 0;
+  for (const auto& row : oracle.info.result.rows) null_max += row[2].is_null() ? 1 : 0;
+  EXPECT_EQ(null_max, 7u) << "orders 3,6,...,21 have empty arrays";
+  ExpectBothLevelsMatch(
+      oracle, [&](QueryEngine* e) { return testutil::PhysicalPlan(e, grouped()); },
+      jit::CodegenMode::kWholeRelation, "whole-relation nest over an outer unnest");
+}
+
 }  // namespace
 }  // namespace proteus

@@ -549,6 +549,31 @@ TEST(ParallelExecution, TypedNestGroupBysIdenticalAcrossEnginesAndThreads) {
   }
 }
 
+TEST(ParallelExecution, JitIdenticalAtBothTierOneCodegenLevels) {
+  std::vector<std::string> queries = Workload();
+  queries.push_back("SELECT fk, count(*), sum(v), max(s) FROM nest_bincol GROUP BY fk");
+  queries.push_back("SELECT day, count(*), sum(v), min(fk) FROM nest_csv GROUP BY day");
+  queries.push_back("SELECT s, count(*), max(flag), sum(day) FROM nest_json GROUP BY s");
+  auto engine = [](ExecMode mode, int threads) {
+    auto e = MakeEngine(threads);
+    e->set_mode(mode);
+    testutil::RegisterNestCorpus(e.get());
+    return e;
+  };
+  for (const auto& q : queries) {
+    auto oracle = engine(ExecMode::kInterp, 1)->Execute(q);
+    ASSERT_TRUE(oracle.ok()) << q << "\n" << oracle.status().ToString();
+    for (jit::CodegenLevel level : {jit::CodegenLevel::kNone, jit::CodegenLevel::kDefault}) {
+      for (int threads : {1, 2, 4}) {
+        testutil::ExpectInstalledLevelMatches(
+            engine(ExecMode::kJIT, threads).get(), q, level, *oracle,
+            q + " @ opt_level " + std::to_string(static_cast<int>(level)) + ", " +
+                std::to_string(threads) + " threads");
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // GroupTable: the open-addressing (hash, group) index and the accumulator
 // slab behind every Nest partial.

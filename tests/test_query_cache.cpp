@@ -406,17 +406,6 @@ std::string DriftQuery(int n) {
          std::to_string(n);
 }
 
-ExecContext ContextOf(QueryEngine& engine) {
-  ExecContext ctx;
-  ctx.catalog = &engine.catalog();
-  ctx.plugins = &engine.plugins();
-  ctx.caches = &engine.caches();
-  ctx.scheduler = &engine.scheduler();
-  ctx.jit_cache = engine.jit_cache();
-  ctx.morsel_rows = kMorselRows;
-  return ctx;
-}
-
 OpPtr ScanReducePlan(QueryEngine& engine) {
   OpPtr scan = Operator::Scan("lineitem_json", "l");
   OpPtr plan = Operator::Reduce(
@@ -470,7 +459,7 @@ TEST(JitSession, ModuleOutlivesItsEngine) {
     QueryEngine engine = MakeEngine();
     testutil::RegisterAll(&engine);
     plan = ScanReducePlan(engine);
-    const ExecContext ctx = ContextOf(engine);
+    const ExecContext ctx = testutil::ContextOf(&engine);
     JitExecutor executor(ctx);
     auto r = executor.ExecuteParallel(plan, nullptr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -484,7 +473,7 @@ TEST(JitSession, ModuleOutlivesItsEngine) {
   {
     QueryEngine engine = MakeEngine();
     testutil::RegisterAll(&engine);
-    const ExecContext ctx = ContextOf(engine);
+    const ExecContext ctx = testutil::ContextOf(&engine);
     ASSERT_TRUE(engine.jit_cache()->Promote(
         jit::MakeQueryCacheKey(ctx, plan, jit::CodegenMode::kMorsel), held));
     JitExecutor executor(ctx);
@@ -541,6 +530,63 @@ TEST(JitSession, ConcurrentEnginesCompileDifferentSignatures) {
   EXPECT_EQ(jit::JitSession::Get().live_modules(), baseline);
 }
 
+/// Registers `name`: a binary-column dataset of `rows` records (k = i).
+void RegisterCounted(QueryEngine* engine, const std::string& name, int64_t rows) {
+  const TypePtr type = Type::BagOfRecords({{"k", Type::Int64()}, {"v", Type::Float64()}});
+  const std::string path = testutil::Corpus::Get().dir + "/" + name + ".bincol";
+  if (!std::filesystem::exists(path)) {
+    RowTable table(type->elem());
+    for (int64_t i = 0; i < rows; ++i) {
+      table.Append({Value::Int(i), Value::Float(0.5 * static_cast<double>(i % 7))});
+    }
+    ASSERT_TRUE(WriteBinaryColumnDir(path, table).ok()) << path;
+  }
+  DatasetInfo info;
+  info.name = name;
+  info.format = DataFormat::kBinaryColumn;
+  info.path = path;
+  info.type = type;
+  ASSERT_TRUE(engine->RegisterDataset(info).ok()) << name;
+}
+
+// Tier 1 sizes codegen to the work: a plan whose scan sources hold fewer
+// than kTier1FastCodegenRecords records in total compiles on the
+// CodeGenOpt::None machine, a larger one on the Default machine.
+TEST(JitSession, TierOneCodegenLevelFollowsScannedRecords) {
+  EXPECT_EQ(jit::Tier1CodegenLevel(0), jit::CodegenLevel::kNone);
+  EXPECT_EQ(jit::Tier1CodegenLevel(jit::kTier1FastCodegenRecords - 1), jit::CodegenLevel::kNone);
+  EXPECT_EQ(jit::Tier1CodegenLevel(jit::kTier1FastCodegenRecords), jit::CodegenLevel::kDefault);
+
+  QueryEngine engine = MakeEngine();
+  testutil::RegisterAll(&engine);
+  const auto half = static_cast<int64_t>(jit::kTier1FastCodegenRecords / 2);
+  RegisterCounted(&engine, "counted_half", half + 1);
+  RegisterCounted(&engine, "counted_over", half * 2 + 1);
+  jit::JitSession& session = jit::JitSession::Get();
+  auto level_of = [&](const std::string& q) {
+    const uint64_t none_before = session.codegens(jit::CodegenLevel::kNone);
+    const uint64_t default_before = session.codegens(jit::CodegenLevel::kDefault);
+    MustRun(&engine, q);
+    const uint64_t none = session.codegens(jit::CodegenLevel::kNone) - none_before;
+    const uint64_t dflt = session.codegens(jit::CodegenLevel::kDefault) - default_before;
+    EXPECT_EQ(none + dflt, 1u) << q << ": one tier-1 codegen";
+    auto module = engine.jit_cache()->TryGet(jit::MakeQueryCacheKey(
+        testutil::ContextOf(&engine), testutil::PhysicalPlan(&engine, q),
+        jit::CodegenMode::kMorsel));
+    EXPECT_NE(module, nullptr) << q;
+    if (module == nullptr) return jit::CodegenLevel::kAggressive;
+    EXPECT_EQ(module->level, none == 1 ? jit::CodegenLevel::kNone : jit::CodegenLevel::kDefault)
+        << q << ": the level recorded is the machine the module ran on";
+    return module->level;
+  };
+  EXPECT_EQ(level_of(kAggQuery), jit::CodegenLevel::kNone);
+  EXPECT_EQ(level_of("SELECT count(*), sum(v) FROM counted_half"), jit::CodegenLevel::kNone);
+  EXPECT_EQ(level_of("SELECT count(*), sum(v) FROM counted_over"), jit::CodegenLevel::kDefault);
+  // Every scan source counts: two half-cutoff scans add up past it.
+  EXPECT_EQ(level_of("SELECT count(*) FROM counted_half a JOIN counted_half b ON a.k = b.k"),
+            jit::CodegenLevel::kDefault);
+}
+
 // Tier 2 differs from tier 1 only in (pass pipeline, target machine): the
 // promoted module is codegen'd on the CodeGenOpt::Aggressive machine, and
 // serves cell-identical results behind the same key.
@@ -556,18 +602,24 @@ TEST(JitSession, TierTwoPromotionUsesTheAggressiveTargetMachine) {
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
 
-  const uint64_t aggressive_before = session.aggressive_codegens();
+  const uint64_t aggressive_before = session.codegens(jit::CodegenLevel::kAggressive);
   QueryResult cold = MustRun(&engine, kAggQuery);
   engine.tiered_compiler()->Drain();
-  EXPECT_EQ(session.aggressive_codegens(), aggressive_before)
-      << "tier 1 must codegen on the default target machine";
+  EXPECT_EQ(session.codegens(jit::CodegenLevel::kAggressive), aggressive_before)
+      << "tier 1 must not codegen on the aggressive target machine";
 
   MustRun(&engine, kAggQuery);
   MustRun(&engine, kAggQuery);
   engine.tiered_compiler()->Drain();
   ASSERT_GE(engine.jit_cache()->stats().promotions, 1u);
-  EXPECT_EQ(session.aggressive_codegens(), aggressive_before + 1)
+  EXPECT_EQ(session.codegens(jit::CodegenLevel::kAggressive), aggressive_before + 1)
       << "the tier-2 recompile must codegen on the aggressive target machine";
+
+  auto module = engine.jit_cache()->TryGet(jit::MakeQueryCacheKey(
+      testutil::ContextOf(&engine), testutil::PhysicalPlan(&engine, kAggQuery),
+      jit::CodegenMode::kMorsel));
+  ASSERT_NE(module, nullptr);
+  EXPECT_EQ(module->level, jit::CodegenLevel::kAggressive) << "tier 2 stays aggressive";
 
   QueryResult promoted = MustRun(&engine, kAggQuery);
   EXPECT_EQ(engine.telemetry().compile_tier, 2);

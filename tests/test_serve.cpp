@@ -15,6 +15,7 @@
 //     session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -266,6 +267,30 @@ TEST(ServeServer, RepeatedQueryIsServedByTheSharedJitCache) {
   ExpectIdentical(first->result, second->result, "cache hit result");
 
   server.Stop();
+}
+
+TEST(ServeServer, FinishedQueryThreadsDoNotPileUpOnAnOpenConnection) {
+  auto engine = MakeServeEngine();
+  QueryServer server(engine.get());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = ServeClient::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // One client, many sequential queries, the connection never closing: the
+  // server must not keep a thread (and its stack) per query served.
+  size_t peak = 0;
+  for (int i = 0; i < 300; ++i) {
+    auto r = client->Execute("SELECT count(*) FROM lineitem_bincol WHERE l_orderkey < " +
+                             std::to_string(i % 40));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->type, FrameType::kResult);
+    peak = std::max(peak, server.worker_threads());
+  }
+  // The query in flight, plus at most the previous ones still returning
+  // when the next query arrived.
+  EXPECT_LE(peak, 3u);
+  server.Stop();
+  EXPECT_EQ(server.worker_threads(), 0u);
 }
 
 TEST(ServeServer, CancelStopsAtMorselBoundaryAndServerStaysHealthy) {

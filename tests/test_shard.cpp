@@ -162,6 +162,25 @@ TEST(ShardedExecution, ShardsComposeWithMorselWorkers) {
   }
 }
 
+TEST(ShardedExecution, JitShardsIdenticalAtBothTierOneCodegenLevels) {
+  auto oracle_engine = MakeEngine(/*num_shards=*/0);
+  for (const auto& q : Workload()) {
+    auto oracle = oracle_engine->Execute(q);
+    ASSERT_TRUE(oracle.ok()) << q << "\n" << oracle.status().ToString();
+    for (jit::CodegenLevel level : {jit::CodegenLevel::kNone, jit::CodegenLevel::kDefault}) {
+      for (int shards : {2, 3}) {
+        auto engine = MakeEngine(shards, /*num_threads=*/2);
+        engine->set_mode(ExecMode::kJIT);
+        testutil::ExpectInstalledLevelMatches(
+            engine.get(), q, level, *oracle,
+            q + " @ opt_level " + std::to_string(static_cast<int>(level)) + ", " +
+                std::to_string(shards) + " shards");
+        EXPECT_GT(engine->telemetry().shards_used, 0) << q;
+      }
+    }
+  }
+}
+
 TEST(ShardedExecution, MatchesJitOracle) {
   // Cross-engine sanity: 4-shard execution agrees (as a multiset, with
   // float tolerance) with the default single-threaded JIT engine.

@@ -44,7 +44,7 @@ struct BenchPred {
   std::string col;   ///< dotted path for nested docs ("origin.country")
   char cmp = '<';    ///< '<', '>', '='
   double val = 0;
-  std::string sval;  ///< set for string equality
+  std::string sval{};  ///< set for string equality
   bool is_string = false;
 };
 
@@ -57,23 +57,23 @@ struct BenchAgg {
 /// group-by, or array unnest.
 struct BenchQuery {
   std::string table;
-  std::vector<BenchPred> where;
+  std::vector<BenchPred> where{};
   std::vector<BenchAgg> aggs;
-  std::string group_by;
+  std::string group_by{};
 
   // Optional equi-join: `table` is the probe side, `join_table` the build.
-  std::string join_table;
-  std::string probe_key, build_key;
-  std::vector<BenchPred> build_where;
-  std::vector<BenchAgg> build_aggs;  ///< aggregates over build-side columns
+  std::string join_table{};
+  std::string probe_key{}, build_key{};
+  std::vector<BenchPred> build_where{};
+  std::vector<BenchAgg> build_aggs{};  ///< aggregates over build-side columns
   /// Forces a nested-loop join in the RowStoreEngine — models an optimizer
   /// that treats one side as an opaque BLOB and cannot hash it (the paper's
   /// PostgreSQL Q39 outlier).
   bool nested_loop = false;
 
   // Optional unnest of an embedded array field of `table`.
-  std::string unnest_path;
-  std::vector<BenchPred> unnest_where;  ///< preds on element fields
+  std::string unnest_path{};
+  std::vector<BenchPred> unnest_where{};  ///< preds on element fields
 };
 
 // ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ struct DatasetInfo {
   DataFormat format = DataFormat::kCSV;
   std::string path;   ///< file (CSV/JSON/binrow) or directory (bincol)
   TypePtr type;       ///< bag<record<...>>; the element record is the schema
-  CSVOptions csv;
-  JSONOptions json;
+  CSVOptions csv{};
+  JSONOptions json{};
 
   const Type& record_type() const { return *type->elem(); }
 };

@@ -309,7 +309,7 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
   // morsel-parameterized generated pipelines over its slice (interpreter
   // partials for plans outside the generated fast path — bit-identical
   // either way).
-  if (opts_.num_shards >= 1 && ShardCoordinator::PlanIsShardable(physical)) {
+  if (opts_.num_shards >= 1 && PlanIsShardable(physical)) {
     ShardCoordinator coordinator(ctx, opts_.num_shards, opts_.num_threads,
                                  opts_.mode == ExecMode::kJIT);
     LoopbackTransport transport;
@@ -395,26 +395,23 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
   }
   if (opts_.mode == ExecMode::kJIT) {
     JitExecutor jit(ctx);
-    // Parallel JIT pipelines for morsel-drivable plans: the generated code
-    // itself is morsel-driven, for every thread count — num_threads == 1
-    // runs the same morsel frame on one worker, so the thread count can
-    // never change the result. Other shapes keep the legacy whole-relation
-    // generated engine (single-threaded; they gain nothing from workers).
-    const bool parallel = PlanIsMorselParallelizable(physical);
+    // The generated code is morsel-driven for every thread count —
+    // num_threads == 1 runs the same morsel frame on one worker, so the
+    // thread count can never change the result. Plans outside the generated
+    // fast path (a Nest below the root's child among them) return
+    // Unimplemented and fall back to the interpreter below.
     InterpExecutor::ExecStats stats;
-    auto result = parallel ? jit.ExecuteParallel(physical, &stats) : jit.Execute(physical);
+    auto result = jit.ExecuteParallel(physical, &stats);
     if (result.ok()) {
       tel.used_jit = true;
-      tel.jit_parallel = parallel;
+      tel.jit_parallel = true;
       // The served module's tier — 1 normally, 2 when a background
       // promotion already swapped the aggressive module behind this key.
       tel.compile_tier =
           jit.last_module() != nullptr ? jit.last_module()->tier() : 1;
       tel.ir_verified = jit.last_module() != nullptr && jit.last_module()->ir_verified;
-      if (parallel) {
-        tel.threads_used = stats.threads_used;
-        tel.morsels = stats.morsels;
-      }
+      tel.threads_used = stats.threads_used;
+      tel.morsels = stats.morsels;
       tel.compile_ms = jit.last_compile_ms();
       tel.jit_compile_ms = jit.last_compile_ms();
       tel.jit_cache_hit = jit.last_cache_hit();

@@ -47,11 +47,11 @@ struct EngineOptions {
   /// Workers for morsel-driven parallel execution (scans, join build/probe,
   /// partial aggregation). 1 = no extra threads; 0 = hardware concurrency.
   /// Results are identical for every value — morsel boundaries depend only
-  /// on the data. Generated (JIT) engines are morsel-parallel too: eligible
-  /// plans compile to range-parameterized pipeline functions driven by the
-  /// scheduler, so num_threads > 1 keeps codegen speed (telemetry reports
-  /// jit_parallel = true). Plans outside the generated fast path fall back
-  /// to the morsel-parallel interpreter as before.
+  /// on the data. Generated (JIT) engines are morsel-parallel too: every
+  /// generated plan compiles to range-parameterized pipeline functions
+  /// driven by the scheduler, so num_threads > 1 keeps codegen speed. Plans
+  /// outside the generated fast path fall back to the morsel-parallel
+  /// interpreter.
   int num_threads = 1;
   /// Target scan rows per morsel (tuning / testing). Affects the morsel
   /// decomposition — deterministically, per dataset — but never the result.
@@ -62,8 +62,9 @@ struct EngineOptions {
   /// with its own `num_threads`-worker morsel pool — shards × workers
   /// compose) whose partial results cross a serialized wire format and merge
   /// in shard order. Results are cell-identical for every value by
-  /// construction. Plans the coordinator declines (outer joins, Nest
-  /// mid-chain) keep their normal path.
+  /// construction. Plans the coordinator declines (outer joins on the probe
+  /// chain, a Nest below the root's child) run unsharded: on the JIT or the
+  /// interpreter, whichever serves them without shards.
   int num_shards = 0;
   /// Entry capacity of the compiled-query cache (signature-keyed reuse of
   /// JIT-compiled modules across executions — and across shards, which all
@@ -138,9 +139,9 @@ struct QueryTelemetry {
   double cache_build_ms = 0;
   bool used_jit = false;
   /// Generated pipelines ran morsel-parallel (range-parameterized functions
-  /// over the Split() decomposition). True whenever the parallel JIT path
-  /// executed — including at num_threads == 1, which drives the same morsel
-  /// frame on one worker so results cannot depend on the thread count.
+  /// over the Split() decomposition). Every generated plan runs that way, at
+  /// num_threads == 1 too, so this always equals used_jit; it stays for
+  /// existing readers (perfbench's route counters).
   bool jit_parallel = false;
   bool used_cache = false;
   int threads_used = 1;    ///< workers that executed the plan (interpreter or parallel JIT)

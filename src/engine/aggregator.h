@@ -63,15 +63,6 @@ class Aggregator {
   /// The folded result; the monoid's zero element if nothing was added.
   Value Final() const;
 
-  /// kSet only: adds `v` unless an equal item exists; returns whether it was
-  /// added. Exposed so the JIT's legacy whole-relation set sink shares the
-  /// one dedup implementation instead of growing its own.
-  bool InsertDistinct(Value v) {
-    if (!InsertSetItem(std::move(v))) return false;
-    seen_ = true;
-    return true;
-  }
-
   /// Encodes the complete accumulator state (monoid included) so a partial
   /// aggregate can cross the shard wire; Deserialize rebuilds an accumulator
   /// that is indistinguishable from the original — Merge and Final behave

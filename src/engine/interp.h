@@ -197,7 +197,8 @@ struct MorselPipeline {
 };
 
 /// Collects the pipeline chain under `pipe_root`. Returns false when the
-/// shape is not morsel-parallelizable (Nest mid-chain, unknown ops).
+/// chain holds a Nest (or a nested Reduce): such plans run on the serial
+/// interpreter, and the JIT rejects them.
 bool CollectMorselPipeline(const OpPtr& pipe_root, MorselPipeline* out);
 
 /// Outer joins of the chain in drain order (deepest-first): the order both
@@ -222,9 +223,9 @@ uint64_t PlanPartialSlots(const MorselPipeline& pipe, uint64_t num_morsels);
 Result<std::vector<ScanRange>> SplitLeafMorsels(const ExecContext& ctx, const Operator& leaf);
 
 /// True when `plan` (root Reduce) has a shape the morsel-parallel driver
-/// accepts. The QueryEngine consults this before routing: ineligible plans
-/// gain nothing from num_threads > 1, so they keep their normal (e.g. JIT)
-/// path instead of silently landing on the serial interpreter.
+/// accepts: no Nest below the root's child. The engine's routing does not
+/// read it (the JIT rejects such plans itself); it stays because perfbench's
+/// replay (perfbench/replay.cpp) calls it.
 bool PlanIsMorselParallelizable(const OpPtr& plan);
 
 /// True when `plan` can additionally be decomposed into independent shards

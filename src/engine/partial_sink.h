@@ -134,10 +134,6 @@ class TypedGroupTable {
   int64_t* UpsertNull();
 
   size_t size() const { return size_; }
-  int64_t* row(size_t g) { return rows_.data() + g * 2 * width_; }
-  /// Raw key bits of group `g` (float keys: the double's bit pattern).
-  int64_t key(size_t g) const { return keys_[g]; }
-  const std::string& key_str(size_t g) const { return skeys_[g]; }
 
   /// Boxes every group once into `out` — UpsertKey in first-appearance
   /// order, then Aggregator::LoadScalar per output that saw a row — and
@@ -148,6 +144,7 @@ class TypedGroupTable {
   void Clear();
 
  private:
+  int64_t* row(size_t g) { return rows_.data() + g * 2 * width_; }
   /// Appends the row of group size() (its key is already stored).
   int64_t* NewRow();
 

@@ -115,17 +115,12 @@ class Codegen {
         layout_(layout),
         params_(params),
         llctx_(std::make_unique<llvm::LLVMContext>()),
-        module_(std::make_unique<llvm::Module>("proteus_query", *llctx_)),
+        module_(std::make_unique<llvm::Module>("proteus_module", *llctx_)),
         b_(*llctx_) {
     // Optimize under the layout codegen will use, not LLVM's default one.
     module_->setDataLayout(jit::JitSession::Get().data_layout());
     module_->setTargetTriple(jit::JitSession::Get().target_triple());
   }
-
-  /// Legacy whole-relation compilation: one proteus_query(ctx) function that
-  /// runs the entire plan in a single call. Kept for plan shapes the morsel
-  /// driver does not understand.
-  Status Compile(const OpPtr& plan);
 
   /// Morsel-parameterized compilation (parallel JIT pipelines): emits
   ///   proteus_build(ctx)                       — chain join build sides, run once
@@ -183,12 +178,9 @@ class Codegen {
   /// restoring nullable fields' null flags from the trailing mask slot
   /// (shared by the probe loop and the unmatched drain).
   void RebindPayload(const Operator& op, llvm::Value* row_ptr);
-  Status EmitNest(const OpPtr& op, const Consume& consume);
   Status EmitFilter(const ExprPtr& pred, const Consume& consume);
-  Status EmitRoot(const OpPtr& reduce);
-  Status EmitReduceRoot(const OpPtr& reduce, bool to_sink);
-  Status EmitBagReduce(const OpPtr& reduce, bool to_sink);
-  Status EmitScalarReduce(const OpPtr& reduce, bool to_sink);
+  Status EmitBagReduce(const OpPtr& reduce);
+  Status EmitScalarReduce(const OpPtr& reduce);
   Status EmitMorselRoot(const OpPtr& reduce, const Operator* nest);
   Status EmitNestMorsel(const Operator& nest);
   /// Emits Nest `op`'s input pipeline and its per-row fold into the
@@ -197,8 +189,8 @@ class Codegen {
   /// with EmitScalarReduce's init values, operation order and null skipping.
   /// Fills `spec` from the emitted kinds on the first emission and checks
   /// later ones (a Nest emits once per pipeline or drain function) against
-  /// it. A nullable key is Unimplemented unless `null_keys`.
-  Status EmitNestFold(const Operator& op, llvm::Value* groups, bool null_keys,
+  /// it.
+  Status EmitNestFold(const Operator& op, llvm::Value* groups,
                       std::optional<TypedGroupSpec>* spec);
   /// One step of a scalar monoid fold over `kind` registers (kInt64,
   /// kFloat64, or kBool for and/or) — shared by EmitScalarReduce and
@@ -317,10 +309,9 @@ class Codegen {
   llvm::Value* begin_arg_ = nullptr;  // morsel pipeline only
   llvm::Value* end_arg_ = nullptr;    // morsel pipeline only
 
-  // Morsel mode: the driver leaf loops over [begin, end) instead of the
-  // whole relation, and chain joins emit only their probe side (builds run
-  // once in proteus_build).
-  bool morsel_mode_ = false;
+  // The driver leaf loops over [begin, end) instead of the whole relation,
+  // and chain joins emit only their probe side (builds run once in
+  // proteus_build).
   const Operator* driver_leaf_ = nullptr;
   std::unordered_set<const Operator*> chain_joins_;
   // Set while emitting an unmatched-drain function: the outer join whose
@@ -345,7 +336,6 @@ class Codegen {
   /// Payload slot holding the row's null-bit mask, or -1 when no payload
   /// field of that join can be null.
   std::unordered_map<const Operator*, int> join_null_slots_;
-  std::unordered_map<const Operator*, uint32_t> group_ids_;
   std::unordered_map<const Operator*, uint32_t> unnest_ids_;
   std::unordered_map<std::string, llvm::Value*> string_globals_;
   std::vector<std::string> result_columns_;
@@ -396,6 +386,24 @@ void CollectJoinKeyPaths(const OpPtr& op, std::unordered_set<std::string>* out) 
   for (const auto& c : op->children()) CollectJoinKeyPaths(c, out);
 }
 
+/// A Nest compiles only as the root Reduce's child — the typed fold into each
+/// morsel's group table, and the one place the front end puts a Nest. A plan
+/// with a Nest anywhere else (on the probe chain, in a join build side, under
+/// another Nest) runs on the interpreter.
+constexpr char kNestNotAtRoot[] = "jit: Nest that is not the root Reduce's child";
+
+/// The morsel pipeline chain under `plan`'s root Reduce, or under its root
+/// Nest. CollectMorselPipeline rejects only a Nest or a nested Reduce, and no
+/// plan nests a Reduce, so a chain it rejects holds a Nest below the root.
+Result<MorselPipeline> RootPipeline(const OpPtr& plan) {
+  const OpPtr& top = plan->child(0);
+  MorselPipeline pipe;
+  if (!CollectMorselPipeline(top->kind() == OpKind::kNest ? top->child(0) : top, &pipe)) {
+    return Status::Unimplemented(kNestNotAtRoot);
+  }
+  return pipe;
+}
+
 Status Codegen::CheckSupported(const OpPtr& op) const {
   // Walk the whole plan and collect *every* unsupported construct, not just
   // the first: fallback telemetry reports the semicolon-joined list, so a
@@ -420,15 +428,15 @@ Status Codegen::CheckSupported(const OpPtr& op) const {
         }
         // Outer joins generate per-morsel matched-build bitmaps plus a
         // one-shot drain function — infrastructure only the morsel pipeline
-        // chain has. Outer joins inside build subtrees (or legacy
-        // whole-relation mode) still fall back.
-        if (o->outer() && (!morsel_mode_ || chain_joins_.count(o.get()) == 0)) {
+        // chain has. Outer joins inside build subtrees still fall back.
+        if (o->outer() && chain_joins_.count(o.get()) == 0) {
           add("jit: outer join outside the morsel pipeline chain");
         }
         break;
       case OpKind::kUnnest:
         break;  // outer unnest generates a null-element emission branch
       case OpKind::kNest:
+        if (o != op->child(0)) add(kNestNotAtRoot);
         for (const auto& out : o->outputs()) {
           if (IsCollectionMonoid(out.monoid) || out.monoid == Monoid::kAnd ||
               out.monoid == Monoid::kOr) {
@@ -797,12 +805,12 @@ Status Codegen::EmitScan(const OpPtr& op, const Consume& consume) {
     }
   }
   // The driver leaf of a morsel pipeline scans only its (begin, end)
-  // arguments' OID range; every other scan (build sides, legacy mode) runs
+  // arguments' OID range; every other scan (join build sides) runs
   // the whole relation, whose record count is a bound parameter — never an
   // immediate — so cached modules survive data growth between executions.
   llvm::Value* lo;
   llvm::Value* hi;
-  if (morsel_mode_ && op.get() == driver_leaf_) {
+  if (op.get() == driver_leaf_) {
     lo = begin_arg_;
     hi = end_arg_;
   } else {
@@ -984,7 +992,7 @@ Status Codegen::EmitCacheScan(const OpPtr& op, const Consume& consume) {
 
   llvm::Value* lo;
   llvm::Value* hi;
-  if (morsel_mode_ && op.get() == driver_leaf_) {
+  if (op.get() == driver_leaf_) {
     lo = begin_arg_;
     hi = end_arg_;
   } else {
@@ -1550,67 +1558,7 @@ Status Codegen::EmitJoinDrain(const Operator& op, const Consume& consume) {
 // Nest
 // ---------------------------------------------------------------------------
 
-Status Codegen::EmitNest(const OpPtr& op, const Consume& consume) {
-  auto* i8p = b_.getInt8PtrTy();
-  auto* i64 = b_.getInt64Ty();
-  // The table id is taken before the input pipeline emits, which may
-  // register nests of its own (build subtrees).
-  const uint32_t table = layout_->AddGroup({});
-  llvm::Value* groups = b_.CreateCall(Helper("proteus_group_table", i8p, {i8p, b_.getInt32Ty()}),
-                                      {CtxPtr(), b_.getInt32(table)});
-  std::optional<TypedGroupSpec> spec;
-  PROTEUS_RETURN_NOT_OK(EmitNestFold(*op, groups, /*null_keys=*/false, &spec));
-  for (TypeKind k : spec->slots) {
-    if (k == TypeKind::kString) {
-      return Status::Unimplemented("jit: string min/max in a whole-relation nest");
-    }
-  }
-  layout_->groups[table] = *spec;
-
-  // ---- group emission pipeline ----
-  llvm::Value* count = b_.CreateCall(Helper("proteus_group_count", i64, {i8p}), {groups});
-  const std::string& gvar = NestBinding(*op);
-  return EmitCountedLoop(count, [&](llvm::Value* g) -> Status {
-    CgValue keyv;
-    keyv.kind = spec->key;
-    if (spec->key == TypeKind::kString) {
-      llvm::Value* len_ptr = EntryAlloca(i64);
-      keyv.v = b_.CreateCall(
-          Helper("proteus_group_key_str", i8p, {i8p, i64, i64->getPointerTo()}),
-          {groups, g, len_ptr});
-      keyv.len = b_.CreateLoad(i64, len_ptr);
-    } else {
-      llvm::Value* raw = b_.CreateCall(Helper("proteus_group_key", i64, {i8p, i64}), {groups, g});
-      keyv.v = spec->key == TypeKind::kBool      ? b_.CreateICmpNE(raw, b_.getInt64(0))
-               : spec->key == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy())
-                                                 : raw;
-    }
-    bindings_[Key(gvar, {op->group_name()})] = keyv;
-
-    llvm::Value* row =
-        b_.CreateCall(Helper("proteus_group_row", i64->getPointerTo(), {i8p, i64}), {groups, g});
-    const auto width = static_cast<uint32_t>(op->outputs().size());
-    for (uint32_t i = 0; i < width; ++i) {
-      const Monoid m = op->outputs()[i].monoid;
-      llvm::Value* raw = b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(i)));
-      CgValue cv;
-      cv.kind = spec->slots[i];
-      cv.v = cv.kind == TypeKind::kBool      ? b_.CreateICmpNE(raw, b_.getInt64(0))
-             : cv.kind == TypeKind::kFloat64 ? b_.CreateBitCast(raw, b_.getDoubleTy())
-                                             : raw;
-      if (m == Monoid::kMax || m == Monoid::kMin) {
-        // A group whose inputs were all null has no extreme: null, as in
-        // the interpreter, not the fold's start bits.
-        llvm::Value* rows = b_.CreateLoad(i64, b_.CreateGEP(i64, row, b_.getInt32(width + i)));
-        cv.null = b_.CreateICmpEQ(rows, b_.getInt64(0));
-      }
-      bindings_[Key(gvar, {op->outputs()[i].name})] = cv;
-    }
-    return consume();
-  });
-}
-
-Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups, bool null_keys,
+Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups,
                              std::optional<TypedGroupSpec>* spec) {
   auto* i8p = b_.getInt8PtrTy();
   auto* i64 = b_.getInt64Ty();
@@ -1640,9 +1588,6 @@ Status Codegen::EmitNestFold(const Operator& op, llvm::Value* groups, bool null_
     } else {
       // A null key is one group, like Value::Null in the interpreter's
       // table (drain rows grouping on a probe-side field).
-      if (!null_keys) {
-        return Status::Unimplemented("jit: nullable group key outside morsel pipelines");
-      }
       auto* typed_bb = llvm::BasicBlock::Create(*llctx_, "group.key", fn_);
       auto* null_bb = llvm::BasicBlock::Create(*llctx_, "group.nullkey", fn_);
       auto* merge_bb = llvm::BasicBlock::Create(*llctx_, "group.merge", fn_);
@@ -1766,41 +1711,21 @@ Status Codegen::EmitProduce(const OpPtr& op, const Consume& consume) {
     case OpKind::kJoin:
       // Chain joins of a morsel pipeline built their tables once in
       // proteus_build; the pipeline function only probes them.
-      if (morsel_mode_ && chain_joins_.count(op.get()) != 0) {
+      if (chain_joins_.count(op.get()) != 0) {
         return EmitJoinProbe(*op, consume);
       }
       return EmitJoin(op, consume);
-    case OpKind::kNest:
-      return EmitNest(op, consume);
+    case OpKind::kNest:  // CheckSupported rejects a Nest below the root
+      return Status::Internal(kNestNotAtRoot);
     case OpKind::kReduce:
       return Status::Internal("jit: nested Reduce");
   }
   return Status::Internal("jit: unknown operator");
 }
 
-Status Codegen::EmitRoot(const OpPtr& reduce) {
-  return EmitReduceRoot(reduce, /*to_sink=*/false);
-}
-
-/// Dispatches the Reduce root to its bag or scalar emitter — the one home of
-/// the collection-root eligibility rule, shared by both codegen modes.
-Status Codegen::EmitReduceRoot(const OpPtr& reduce, bool to_sink) {
-  const auto& outputs = reduce->outputs();
-  bool is_bag = outputs.size() == 1 && IsCollectionMonoid(outputs[0].monoid);
-  // Set roots ride the collection emitter: per-morsel sinks feed a kSet
-  // Aggregator whose hash-indexed InsertSetItem dedups within the morsel,
-  // and FinalizePlanPartials merges the partials in global morsel order —
-  // the interpreter's exact fold, so first-appearance row order matches it
-  // cell for cell. Legacy whole-relation mode dedups through
-  // proteus_result_end_row_set instead.
-  if (is_bag) return EmitBagReduce(reduce, to_sink);
-  return EmitScalarReduce(reduce, to_sink);
-}
-
-/// Collection-monoid root. `to_sink` picks the destination of emitted rows:
-/// the per-morsel JitMorselSink (morsel pipelines) or the runtime's result
-/// builder (legacy single call) — same cell values either way.
-Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
+/// Collection-monoid root: each row's cells go to the per-morsel
+/// JitMorselSink, whose kSet Aggregator dedups a set root on Add.
+Status Codegen::EmitBagReduce(const OpPtr& reduce) {
   const auto& outputs = reduce->outputs();
   auto* i8p = b_.getInt8PtrTy();
   const ExprPtr& head = outputs[0].expr;
@@ -1813,18 +1738,7 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
     result_columns_ = {outputs[0].name};
     cols = {head};
   }
-  llvm::Value* dst = to_sink ? SinkPtr() : CtxPtr();
-  const bool set_root = outputs[0].monoid == Monoid::kSet;
-  const char* f_int = to_sink ? "proteus_sink_emit_int" : "proteus_result_emit_int";
-  const char* f_double = to_sink ? "proteus_sink_emit_double" : "proteus_result_emit_double";
-  const char* f_bool = to_sink ? "proteus_sink_emit_bool" : "proteus_result_emit_bool";
-  const char* f_str = to_sink ? "proteus_sink_emit_str" : "proteus_result_emit_str";
-  const char* f_null = to_sink ? "proteus_sink_emit_null" : "proteus_result_emit_null";
-  // Sink mode needs no set-specific end: the morsel's kSet Aggregator dedups
-  // on Add. The legacy path dedups the boxed row at end-of-row instead.
-  const char* f_end = to_sink ? "proteus_sink_emit_end"
-                     : set_root ? "proteus_result_end_row_set"
-                                : "proteus_result_end_row";
+  llvm::Value* dst = SinkPtr();
   auto emit_row = [&]() -> Status {
     for (const auto& c : cols) {
       PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(c));
@@ -1837,27 +1751,31 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
         merge_bb = llvm::BasicBlock::Create(*llctx_, "emit.merge", fn_);
         b_.CreateCondBr(v.null, null_bb, typed_bb);
         b_.SetInsertPoint(null_bb);
-        b_.CreateCall(Helper(f_null, b_.getVoidTy(), {i8p}), {dst});
+        b_.CreateCall(Helper("proteus_sink_emit_null", b_.getVoidTy(), {i8p}), {dst});
         b_.CreateBr(merge_bb);
         b_.SetInsertPoint(typed_bb);
       }
       if (v.kind == TypeKind::kInt64) {
-        b_.CreateCall(Helper(f_int, b_.getVoidTy(), {i8p, b_.getInt64Ty()}), {dst, v.v});
+        b_.CreateCall(Helper("proteus_sink_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
+                      {dst, v.v});
       } else if (v.kind == TypeKind::kFloat64) {
-        b_.CreateCall(Helper(f_double, b_.getVoidTy(), {i8p, b_.getDoubleTy()}), {dst, v.v});
+        b_.CreateCall(
+            Helper("proteus_sink_emit_double", b_.getVoidTy(), {i8p, b_.getDoubleTy()}),
+            {dst, v.v});
       } else if (v.kind == TypeKind::kBool) {
-        b_.CreateCall(Helper(f_bool, b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
+        b_.CreateCall(Helper("proteus_sink_emit_bool", b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
                       {dst, b_.CreateZExt(v.v, b_.getInt32Ty())});
       } else {
-        b_.CreateCall(Helper(f_str, b_.getVoidTy(), {i8p, i8p, b_.getInt64Ty()}),
-                      {dst, v.v, v.len});
+        b_.CreateCall(
+            Helper("proteus_sink_emit_str", b_.getVoidTy(), {i8p, i8p, b_.getInt64Ty()}),
+            {dst, v.v, v.len});
       }
       if (merge_bb != nullptr) {
         b_.CreateBr(merge_bb);
         b_.SetInsertPoint(merge_bb);
       }
     }
-    b_.CreateCall(Helper(f_end, b_.getVoidTy(), {i8p}), {dst});
+    b_.CreateCall(Helper("proteus_sink_emit_end", b_.getVoidTy(), {i8p}), {dst});
     return Status::OK();
   };
   return EmitProduce(reduce->child(0),
@@ -1865,18 +1783,17 @@ Status Codegen::EmitBagReduce(const OpPtr& reduce, bool to_sink) {
 }
 
 /// Scalar-aggregate root. Accumulators live in allocas (promoted to
-/// registers); the per-tuple fold is identical in both modes. `to_sink`
-/// changes only what happens after the loop: the legacy path emits the one
-/// result row, the morsel path flushes each register into this morsel's
-/// Aggregator partial (with the contributing row count, so empty morsels
-/// leave their partial in the same empty state an interpreter partial has).
-Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
+/// registers); after the loop each register is flushed into this morsel's
+/// Aggregator partial with its contributing row count, so an empty morsel
+/// leaves its partial in the same empty state an interpreter partial has.
+Status Codegen::EmitScalarReduce(const OpPtr& reduce) {
   const auto& outputs = reduce->outputs();
   auto* i8p = b_.getInt8PtrTy();
   struct Acc {
     llvm::Value* ptr;
-    TypeKind kind;
+    TypeKind kind;  ///< register kind: kInt64, kFloat64, or kBool for and/or
     Monoid monoid;
+    bool bool_extreme;  ///< max/min over bools: 0/1 in an i64, flushed as a Bool
   };
   std::vector<Acc> accs;
   for (const auto& o : outputs) {
@@ -1909,7 +1826,8 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
       zero = b_.getInt64(bits);
     }
     b_.CreateStore(zero, ptr);
-    accs.push_back({ptr, k, o.monoid});
+    const bool extreme = o.monoid == Monoid::kMax || o.monoid == Monoid::kMin;
+    accs.push_back({ptr, k, o.monoid, extreme && o.expr->type()->kind() == TypeKind::kBool});
     result_columns_.push_back(o.name);
   }
   // Per-accumulator contributing-row counters: the flush must leave an
@@ -1918,8 +1836,7 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
   // interpreter partial whose Add() calls were all skipped. Null inputs
   // (outer-join drain rows, outer-unnest rows) contribute to count but not
   // to value monoids, so the counters are per output, not per row. Max/min
-  // also read theirs in both modes: the first contributing value is taken
-  // as is (FoldStep).
+  // also read theirs: the first contributing value is taken as is (FoldStep).
   std::vector<llvm::Value*> rows_ptrs;
   for (size_t i = 0; i < outputs.size(); ++i) {
     rows_ptrs.push_back(EntryAlloca(b_.getInt64Ty(), nullptr, "rows"));
@@ -1941,9 +1858,11 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
         updated = b_.CreateAdd(cur, b_.getInt64(1));
       } else {
         PROTEUS_ASSIGN_OR_RETURN(CgValue v, EmitExpr(o.expr));
-        updated = FoldStep(o.monoid, a.kind, cur,
-                           a.kind == TypeKind::kFloat64 ? ToDouble(v) : v.v,
-                           FirstRow(o.monoid, seen));
+        // Bool extremes fold as 0/1 integers, as EmitNestFold's do.
+        llvm::Value* x = a.kind == TypeKind::kFloat64 ? ToDouble(v)
+                         : a.bool_extreme ? b_.CreateZExt(v.v, b_.getInt64Ty())
+                                          : v.v;
+        updated = FoldStep(o.monoid, a.kind, cur, x, FirstRow(o.monoid, seen));
         if (v.null != nullptr) {
           // Null inputs do not contribute (Aggregator::Add(null) is a no-op).
           updated = b_.CreateSelect(v.null, cur, updated);
@@ -1959,76 +1878,28 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
   PROTEUS_RETURN_NOT_OK(EmitProduce(reduce->child(0),
                                     [&]() { return EmitFilter(reduce->pred(), update); }));
 
-  if (to_sink) {
-    // Flush each register accumulator into this morsel's Aggregator partial.
-    for (size_t i = 0; i < accs.size(); ++i) {
-      const Acc& a = accs[i];
-      llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
-      llvm::Value* rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
-      if (a.kind == TypeKind::kFloat64) {
-        llvm::Value* v = b_.CreateLoad(b_.getDoubleTy(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_double", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getDoubleTy(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v, rows});
-      } else if (a.kind == TypeKind::kBool) {
-        llvm::Value* v = b_.CreateLoad(b_.getInt1Ty(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_bool", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt32Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, b_.CreateZExt(v, b_.getInt32Ty()), rows});
-      } else {
-        llvm::Value* v = b_.CreateLoad(b_.getInt64Ty(), a.ptr);
-        b_.CreateCall(Helper("proteus_sink_agg_flush_int", b_.getVoidTy(),
-                             {i8p, b_.getInt32Ty(), b_.getInt64Ty(), b_.getInt64Ty()}),
-                      {SinkPtr(), idx, v, rows});
-      }
-    }
-    return Status::OK();
-  }
-
-  // Emit the single result row: each output as Aggregator::Final would read
-  // it. An accumulator that saw no contributing row already holds the empty
-  // result for count, and, or and int sums; a max/min is null instead and a
-  // float sum the integer 0.
+  // Flush each register accumulator into this morsel's Aggregator partial.
   for (size_t i = 0; i < accs.size(); ++i) {
     const Acc& a = accs[i];
-    const bool extreme = a.monoid == Monoid::kMax || a.monoid == Monoid::kMin;
-    const bool float_sum = a.monoid == Monoid::kSum && a.kind == TypeKind::kFloat64;
-    llvm::BasicBlock* done_bb = nullptr;
-    if (extreme || float_sum) {
-      auto* empty_bb = llvm::BasicBlock::Create(*llctx_, "result.empty", fn_);
-      auto* value_bb = llvm::BasicBlock::Create(*llctx_, "result.value", fn_);
-      done_bb = llvm::BasicBlock::Create(*llctx_, "result.done", fn_);
-      llvm::Value* rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
-      b_.CreateCondBr(b_.CreateICmpEQ(rows, b_.getInt64(0)), empty_bb, value_bb);
-      b_.SetInsertPoint(empty_bb);
-      if (extreme) {
-        b_.CreateCall(Helper("proteus_result_emit_null", b_.getVoidTy(), {i8p}), {CtxPtr()});
-      } else {
-        b_.CreateCall(Helper("proteus_result_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
-                      {CtxPtr(), b_.getInt64(0)});
-      }
-      b_.CreateBr(done_bb);
-      b_.SetInsertPoint(value_bb);
-    }
+    llvm::Value* idx = b_.getInt32(static_cast<uint32_t>(i));
+    llvm::Value* rows = b_.CreateLoad(b_.getInt64Ty(), rows_ptrs[i]);
     if (a.kind == TypeKind::kFloat64) {
       llvm::Value* v = b_.CreateLoad(b_.getDoubleTy(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_double", b_.getVoidTy(), {i8p, b_.getDoubleTy()}),
-                    {CtxPtr(), v});
-    } else if (a.kind == TypeKind::kBool) {
-      llvm::Value* v = b_.CreateLoad(b_.getInt1Ty(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_bool", b_.getVoidTy(), {i8p, b_.getInt32Ty()}),
-                    {CtxPtr(), b_.CreateZExt(v, b_.getInt32Ty())});
+      b_.CreateCall(Helper("proteus_sink_agg_flush_double", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getDoubleTy(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, v, rows});
+    } else if (a.kind == TypeKind::kBool || a.bool_extreme) {
+      llvm::Value* v = b_.CreateLoad(a.bool_extreme ? b_.getInt64Ty() : b_.getInt1Ty(), a.ptr);
+      b_.CreateCall(Helper("proteus_sink_agg_flush_bool", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getInt32Ty(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, b_.CreateZExtOrTrunc(v, b_.getInt32Ty()), rows});
     } else {
       llvm::Value* v = b_.CreateLoad(b_.getInt64Ty(), a.ptr);
-      b_.CreateCall(Helper("proteus_result_emit_int", b_.getVoidTy(), {i8p, b_.getInt64Ty()}),
-                    {CtxPtr(), v});
-    }
-    if (done_bb != nullptr) {
-      b_.CreateBr(done_bb);
-      b_.SetInsertPoint(done_bb);
+      b_.CreateCall(Helper("proteus_sink_agg_flush_int", b_.getVoidTy(),
+                           {i8p, b_.getInt32Ty(), b_.getInt64Ty(), b_.getInt64Ty()}),
+                    {SinkPtr(), idx, v, rows});
     }
   }
-  b_.CreateCall(Helper("proteus_result_end_row", b_.getVoidTy(), {i8p}), {CtxPtr()});
   return Status::OK();
 }
 
@@ -2036,9 +1907,21 @@ Status Codegen::EmitScalarReduce(const OpPtr& reduce, bool to_sink) {
 // Morsel-mode roots
 // ---------------------------------------------------------------------------
 
+/// The consumer of a pipeline or drain function: a root Nest's typed fold,
+/// else the Reduce root's bag or scalar emitter — the one home of the
+/// collection-root eligibility rule.
 Status Codegen::EmitMorselRoot(const OpPtr& reduce, const Operator* nest) {
   if (nest != nullptr) return EmitNestMorsel(*nest);
-  return EmitReduceRoot(reduce, /*to_sink=*/true);
+  const auto& outputs = reduce->outputs();
+  // Set roots ride the collection emitter: per-morsel sinks feed a kSet
+  // Aggregator whose hash-indexed InsertSetItem dedups within the morsel,
+  // and FinalizePlanPartials merges the partials in global morsel order —
+  // the interpreter's exact fold, so first-appearance row order matches it
+  // cell for cell.
+  if (outputs.size() == 1 && IsCollectionMonoid(outputs[0].monoid)) {
+    return EmitBagReduce(reduce);
+  }
+  return EmitScalarReduce(reduce);
 }
 
 /// Nest directly under the root: the typed fold into the sink's group
@@ -2049,7 +1932,7 @@ Status Codegen::EmitMorselRoot(const OpPtr& reduce, const Operator* nest) {
 Status Codegen::EmitNestMorsel(const Operator& op) {
   auto* i8p = b_.getInt8PtrTy();
   llvm::Value* groups = b_.CreateCall(Helper("proteus_sink_groups", i8p, {i8p}), {SinkPtr()});
-  return EmitNestFold(op, groups, /*null_keys=*/true, &layout_->sink_groups);
+  return EmitNestFold(op, groups, &layout_->sink_groups);
 }
 
 // ---------------------------------------------------------------------------
@@ -2108,34 +1991,12 @@ llvm::Value* Codegen::EntryAlloca(llvm::Type* ty, llvm::Value* array_size, const
   return a;
 }
 
-Status Codegen::Compile(const OpPtr& plan) {
-  if (plan->kind() != OpKind::kReduce) {
-    return Status::InvalidArgument("jit: plan root must be Reduce");
-  }
-  PROTEUS_RETURN_NOT_OK(CheckSupported(plan));
-  CollectJoinKeyPaths(plan, &key_paths_);
-  PROTEUS_RETURN_NOT_OK(Prepare(plan));
-
-  OpenFunction("proteus_query", /*ptr_args=*/2, /*int_args=*/0);  // (ctx, params)
-  PROTEUS_RETURN_NOT_OK(EmitRoot(plan));
-  b_.CreateRetVoid();
-
-  std::string err;
-  llvm::raw_string_ostream os(err);
-  if (llvm::verifyModule(*module_, &os)) {
-    return Status::Internal("jit: invalid IR generated: " + os.str() +
-                            (std::getenv("PROTEUS_DUMP_BAD_IR") ? "\n" + DumpIR() : ""));
-  }
-  return Status::OK();
-}
-
 Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
   if (plan->kind() != OpKind::kReduce) {
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
   // Chain context first: CheckSupported accepts outer joins only on the
   // morsel pipeline chain (their bitmaps + drain functions live there).
-  morsel_mode_ = true;
   driver_leaf_ = pipe.leaf;
   chain_joins_.insert(pipe.joins.begin(), pipe.joins.end());
   PROTEUS_RETURN_NOT_OK(CheckSupported(plan));
@@ -2147,8 +2008,7 @@ Status Codegen::CompileMorsel(const OpPtr& plan, const MorselPipeline& pipe) {
 
   // proteus_build(ctx, params): chain join build sides, each a
   // whole-relation pipeline run exactly once before the morsel fan-out.
-  // Build subtrees may themselves contain joins or nests — they emit fully
-  // in here.
+  // Build subtrees may themselves contain joins — they emit fully in here.
   OpenFunction("proteus_build", /*ptr_args=*/2, /*int_args=*/0);
   for (const Operator* j : pipe.joins) {
     PROTEUS_RETURN_NOT_OK(EmitJoinBuild(*j));
@@ -2200,17 +2060,17 @@ jit::CodegenLevel ChooseCodegenLevel(int tier, uint64_t scanned_records) {
   return tier >= 2 ? jit::CodegenLevel::kAggressive : jit::Tier1CodegenLevel(scanned_records);
 }
 
-/// Generates `plan` and compiles it on the process-wide jit::JitSession into
-/// a position-independent jit::CompiledModule (parameter table + runtime
-/// layout instead of baked constants) that the CompiledQueryCache can reuse
-/// across executions, threads, and shards. With `pipe`, compiles in morsel
-/// mode (proteus_build + proteus_pipeline + proteus_drain<k>); without,
-/// legacy whole-relation mode (proteus_query). `tier` picks the pass
-/// pipeline and, with the records the plan scans, the codegen level
-/// (ChooseCodegenLevel) unless `level` pins it; entry points and results are
-/// identical across levels, only the machine code differs.
+/// Generates `plan`'s morsel pipelines over the chain `pipe` (proteus_build +
+/// proteus_pipeline + proteus_drain<k>) and compiles them on the
+/// process-wide jit::JitSession into a position-independent
+/// jit::CompiledModule (parameter table + runtime layout instead of baked
+/// constants) that the CompiledQueryCache can reuse across executions,
+/// threads, and shards. `tier` picks the pass pipeline and, with the records
+/// the plan scans, the codegen level (ChooseCodegenLevel) unless `level` pins
+/// it; entry points and results are identical across levels, only the
+/// machine code differs.
 Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
-    const ExecContext& ctx, const OpPtr& plan, const MorselPipeline* pipe, int tier = 1,
+    const ExecContext& ctx, const OpPtr& plan, const MorselPipeline& pipe, int tier = 1,
     std::optional<jit::CodegenLevel> level = std::nullopt) {
   if (level.has_value() && jit::TierOf(*level) != tier) {
     return Status::InvalidArgument("jit: codegen level does not belong to tier " +
@@ -2222,11 +2082,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
   Codegen cg(ctx, &out->layout, &param_table);
   {
     OBS_SPAN(ctx.trace, "ir_gen");
-    if (pipe != nullptr) {
-      PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, *pipe));
-    } else {
-      PROTEUS_RETURN_NOT_OK(cg.Compile(plan));
-    }
+    PROTEUS_RETURN_NOT_OK(cg.CompileMorsel(plan, pipe));
   }
   // The plug-ins are open now (Codegen::Prepare), so the records are known.
   out->level = level.value_or(ChooseCodegenLevel(tier, cg.scanned_records()));
@@ -2244,26 +2100,17 @@ Result<std::shared_ptr<const jit::CompiledModule>> CompileAndLink(
     out->ir_verified = true;
   }
 
-  std::vector<std::string> entry_points;
-  if (pipe != nullptr) {
-    out->outer_join_tables = cg.outer_join_tables();
-    entry_points = {"proteus_build", "proteus_pipeline"};
-    for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
-      entry_points.push_back("proteus_drain" + std::to_string(k));
-    }
-  } else {
-    entry_points = {"proteus_query"};
+  out->outer_join_tables = cg.outer_join_tables();
+  std::vector<std::string> entry_points = {"proteus_build", "proteus_pipeline"};
+  for (size_t k = 0; k < out->outer_join_tables.size(); ++k) {
+    entry_points.push_back("proteus_drain" + std::to_string(k));
   }
   PROTEUS_ASSIGN_OR_RETURN(out->code, jit::JitSession::Get().Compile(cg.module(), out->level,
                                                                      entry_points, ctx.trace));
-  if (pipe != nullptr) {
-    out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(out->code->entry(0));
-    out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(out->code->entry(1));
-    for (size_t k = 2; k < entry_points.size(); ++k) {
-      out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(out->code->entry(k)));
-    }
-  } else {
-    out->query_fn = reinterpret_cast<jit::CompiledModule::QueryFn>(out->code->entry(0));
+  out->build_fn = reinterpret_cast<jit::CompiledModule::BuildFn>(out->code->entry(0));
+  out->pipeline_fn = reinterpret_cast<jit::CompiledModule::PipelineFn>(out->code->entry(1));
+  for (size_t k = 2; k < entry_points.size(); ++k) {
+    out->drain_fns.push_back(reinterpret_cast<jit::CompiledModule::DrainFn>(out->code->entry(k)));
   }
   return std::shared_ptr<const jit::CompiledModule>(std::move(out));
 }
@@ -2310,16 +2157,10 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
     return Status::InvalidArgument("jit: plan root must be Reduce");
   }
   if (mode == CodegenMode::kWholeRelation) {
-    return CompileAndLink(ctx, plan, nullptr, tier, level);
+    return Status::Unimplemented("jit: only morsel pipelines are generated");
   }
-  const OpPtr& top = plan->child(0);
-  const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-  const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
-  MorselPipeline pipe;
-  if (!CollectMorselPipeline(pipe_root, &pipe)) {
-    return Status::Unimplemented("jit: plan is not morsel-parallelizable");
-  }
-  return CompileAndLink(ctx, plan, &pipe, tier, level);
+  PROTEUS_ASSIGN_OR_RETURN(MorselPipeline pipe, RootPipeline(plan));
+  return CompileAndLink(ctx, plan, pipe, tier, level);
 }
 
 }  // namespace jit
@@ -2329,7 +2170,7 @@ Result<std::shared_ptr<const CompiledModule>> CompilePlan(const ExecContext& ctx
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModule(
-    const OpPtr& plan, const MorselPipeline* pipe) {
+    const OpPtr& plan, const MorselPipeline& pipe) {
   last_cache_hit_ = false;
   last_compile_ms_ = 0;
   auto compile = [&]() -> Result<std::shared_ptr<const jit::CompiledModule>> {
@@ -2344,9 +2185,7 @@ Result<std::shared_ptr<const jit::CompiledModule>> JitExecutor::GetOrCompileModu
     return r;
   };
   if (ctx_.jit_cache == nullptr || ctx_.catalog == nullptr) return compile();
-  const jit::QueryCacheKey key = jit::MakeQueryCacheKey(
-      ctx_, plan,
-      pipe != nullptr ? jit::CodegenMode::kMorsel : jit::CodegenMode::kWholeRelation);
+  const jit::QueryCacheKey key = jit::MakeQueryCacheKey(ctx_, plan, jit::CodegenMode::kMorsel);
   // On a hit (or a single-flight wait on another thread's compile)
   // last_compile_ms_ stays 0: this execution generated no IR at all.
   // The probe span covers the whole lookup — a miss nests the jit_compile
@@ -2363,30 +2202,7 @@ const std::string& JitExecutor::last_ir() const {
 }
 
 Result<QueryResult> JitExecutor::Execute(const OpPtr& plan) {
-  PROTEUS_ASSIGN_OR_RETURN(std::shared_ptr<const jit::CompiledModule> mod,
-                           GetOrCompileModule(plan, nullptr));
-  return ExecutePrecompiled(std::move(mod));
-}
-
-Result<QueryResult> JitExecutor::ExecutePrecompiled(
-    std::shared_ptr<const jit::CompiledModule> mod) {
-  last_module_ = mod;
-
-  // Fresh per-execution state: runtime tables from the recorded layout, data
-  // constants re-bound from the live catalog/plug-ins/caches.
-  jit::QueryRuntime rt;
-  jit::InitRuntimeFromLayout(mod->layout, &rt);
-  rt.scheduler = ctx_.scheduler;
-  std::vector<std::shared_ptr<const CacheBlock>> pinned_blocks;
-  PROTEUS_ASSIGN_OR_RETURN(std::vector<int64_t> params,
-                           jit::BindParams(ctx_, mod->params, &pinned_blocks));
-
-  jit::MorselCtx mc(&rt);
-  mod->query_fn(&mc, params.data());
-  if (rt.failed) return Status::Internal("jit runtime: " + rt.error);
-
-  rt.result.columns = mod->columns;  // copy: the module is shared
-  return std::move(rt.result);
+  return ExecuteParallel(plan, nullptr);
 }
 
 Result<PlanPartials> JitExecutor::RunMorselPipelines(
@@ -2397,11 +2213,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
   }
   const OpPtr& top = plan->child(0);
   const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
-  const OpPtr& pipe_root = nest != nullptr ? top->child(0) : top;
-  MorselPipeline pipe;
-  if (!CollectMorselPipeline(pipe_root, &pipe)) {
-    return Status::Unimplemented("jit: plan is not morsel-parallelizable");
-  }
+  PROTEUS_ASSIGN_OR_RETURN(MorselPipeline pipe, RootPipeline(plan));
   const std::vector<const Operator*> outer = OuterChainJoins(pipe);
   if (!whole_plan && !outer.empty()) {
     // Mirror of InterpExecutor::ExecutePartials: a shard sees only its
@@ -2419,7 +2231,7 @@ Result<PlanPartials> JitExecutor::RunMorselPipelines(
     last_compile_ms_ = 0;
     cq = std::move(premodule);
   } else {
-    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, &pipe));
+    PROTEUS_ASSIGN_OR_RETURN(cq, GetOrCompileModule(plan, pipe));
   }
   last_module_ = cq;
 

@@ -19,8 +19,9 @@
 // partial sink (partial_sink.h) — and the partials merge in global morsel
 // order through the same fold the interpreter uses. Results are therefore
 // cell-identical for every thread count and across engines; num_threads is
-// purely a performance knob even with codegen on. Other shapes keep the
-// legacy whole-relation proteus_query(ctx) function.
+// purely a performance knob even with codegen on. A Nest compiles only
+// directly under the root Reduce — the one place the front end puts it — and
+// plans with a Nest anywhere else run on the interpreter.
 //
 // Compiled code is position-independent (src/jit/query_cache.h): data
 // pointers, relation sizes, and plug-in addresses live in a per-execution
@@ -57,8 +58,9 @@
 // GroupTable partial once per morsel.
 //
 // Plans using features still outside the generated fast path (non-integer
-// equi-join keys, outer joins off the pipeline chain, collection or boolean
-// monoids inside Nest, deep paths inside array elements) return
+// equi-join keys, outer joins off the pipeline chain, a Nest that is not the
+// root Reduce's child, collection or boolean monoids inside Nest, deep paths
+// inside array elements) return
 // Unimplemented — every violation in the plan is reported, semicolon-joined
 // — and the QueryEngine facade transparently falls back to the
 // (morsel-parallel) interpreter — recording the failed attempt's compile
@@ -118,8 +120,8 @@ CodegenLevel Tier1CodegenLevel(uint64_t scanned_records);
 /// machine — the background recompile the tiered controller requests once a
 /// signature proves hot. `level`, when set, pins the codegen level instead
 /// (it must belong to `tier`), so tests can run one plan at every level.
-/// kMorsel mode collects the plan's pipeline chain itself; returns
-/// Unimplemented for plans outside the generated fast path.
+/// Collects the plan's pipeline chain itself; returns Unimplemented for plans
+/// outside the generated fast path and for any mode but kMorsel.
 Result<std::shared_ptr<const CompiledModule>> CompilePlan(
     const ExecContext& ctx, const OpPtr& plan, CodegenMode mode, int tier,
     std::optional<CodegenLevel> level = std::nullopt);
@@ -130,14 +132,8 @@ class JitExecutor {
  public:
   explicit JitExecutor(ExecContext ctx) : ctx_(ctx) {}
 
-  /// Compiles and runs `plan` (root must be Reduce) as one whole-relation
-  /// generated function — the legacy single-threaded path, kept for plan
-  /// shapes the morsel driver does not understand.
+  /// ExecuteParallel without stats.
   Result<QueryResult> Execute(const OpPtr& plan);
-
-  /// Runs a whole-relation module (CompilePlan in kWholeRelation mode) once
-  /// over the live data — Execute() without the compile.
-  Result<QueryResult> ExecutePrecompiled(std::shared_ptr<const jit::CompiledModule> module);
 
   /// Morsel-parallel execution: compiles the plan's pipelines with a
   /// (morsel_begin, morsel_end) range parameter, runs shared join builds
@@ -189,7 +185,7 @@ class JitExecutor {
   /// misses single-flight — one thread compiles, the rest wait and share),
   /// else by compiling directly.
   Result<std::shared_ptr<const jit::CompiledModule>> GetOrCompileModule(
-      const OpPtr& plan, const MorselPipeline* pipe);
+      const OpPtr& plan, const MorselPipeline& pipe);
   /// `premodule`, when set, skips module resolution entirely (the tiered
   /// swap path: the background thread compiled it already).
   Result<PlanPartials> RunMorselPipelines(const OpPtr& plan, uint64_t morsel_begin,

@@ -160,7 +160,6 @@ Result<std::vector<int64_t>> BindParams(
 
 void InitRuntimeFromLayout(const RuntimeLayout& layout, QueryRuntime* rt) {
   for (const auto& j : layout.joins) rt->AddJoin(j.payload_slots, j.partitioned);
-  for (const auto& g : layout.groups) rt->AddGroup(g);
   rt->num_unnests = layout.num_unnests;
 }
 

@@ -10,15 +10,15 @@
 // into a *parameter table* — an int64 array described by `ParamDesc` entries,
 // re-bound from the live catalog/plug-ins/caches before every run and passed
 // to the generated functions as an extra argument. Runtime table shapes
-// (join payload widths, group-table layouts, unnest slot count) are recorded
-// in a `RuntimeLayout` so each execution rebuilds a fresh jit::QueryRuntime
-// without touching the codegen.
+// (join payload widths, the group-table layout, unnest slot count) are
+// recorded in a `RuntimeLayout` so each execution rebuilds a fresh
+// jit::QueryRuntime without touching the codegen.
 //
-// Keying: canonical plan signature (Operator::Signature()) + codegen mode
-// (whole-relation vs morsel-parameterized) + catalog/caching epochs. The
-// epochs make invalidation trivial: any catalog registration / dataset
-// invalidation / cache install or eviction bumps an epoch, old keys stop
-// matching, and stale entries age out of the LRU.
+// Keying: canonical plan signature (Operator::Signature()) + codegen mode +
+// join strategies + catalog/caching epochs. The epochs make invalidation
+// trivial: any catalog registration / dataset invalidation / cache install
+// or eviction bumps an epoch, old keys stop matching, and stale entries age
+// out of the LRU.
 //
 // Concurrency: lookups single-flight — when N shard executors (or any N
 // threads) ask for the same key at once, exactly one compiles while the
@@ -55,9 +55,9 @@ namespace jit {
 
 struct QueryRuntime;
 
-/// Which entry points a module was generated with. Whole-relation and
-/// morsel-parameterized code for the same plan are distinct machine code, so
-/// the mode is part of the cache key.
+/// Which entry points a module was generated with; part of the cache key.
+/// Every module is kMorsel; the other value stays for existing callers, and
+/// CompilePlan answers it with Unimplemented.
 enum class CodegenMode : uint8_t { kWholeRelation, kMorsel };
 
 /// One hoisted per-execution constant of the generated code: what it is and
@@ -126,9 +126,8 @@ struct RuntimeLayout {
     bool partitioned = false;    ///< probe layout of the build RadixTable
   };
   std::vector<JoinSpec> joins;
-  std::vector<TypedGroupSpec> groups;  ///< whole-relation nest tables
-  /// Morsel mode, Nest under the root: the shape of each worker's typed
-  /// group table (unset otherwise).
+  /// Nest under the root: the shape of each worker's typed group table
+  /// (unset otherwise).
   std::optional<TypedGroupSpec> sink_groups;
   uint32_t num_unnests = 0;
 
@@ -136,15 +135,11 @@ struct RuntimeLayout {
     joins.push_back({payload_slots, partitioned});
     return static_cast<uint32_t>(joins.size() - 1);
   }
-  uint32_t AddGroup(TypedGroupSpec spec) {
-    groups.push_back(std::move(spec));
-    return static_cast<uint32_t>(groups.size() - 1);
-  }
   uint32_t AddUnnest() { return num_unnests++; }
 };
 
-/// Registers the layout's join/group/unnest tables on a fresh QueryRuntime
-/// (scheduler/result state untouched).
+/// Registers the layout's join and unnest tables on a fresh QueryRuntime
+/// (its scheduler untouched).
 void InitRuntimeFromLayout(const RuntimeLayout& layout, QueryRuntime* rt);
 
 /// A compiled-and-linked query engine: the handle to its machine code (a
@@ -162,7 +157,6 @@ struct CompiledModule {
   CompiledModule(CompiledModule&&) noexcept;
   CompiledModule& operator=(CompiledModule&&) noexcept;
 
-  using QueryFn = void (*)(void*, const int64_t*);
   using BuildFn = void (*)(void*, const int64_t*);
   using PipelineFn = void (*)(void*, void*, const int64_t*, uint64_t, uint64_t);
   /// Outer-join unmatched-drain pass: (ctx, sink, merged_matched_bitmap,
@@ -185,11 +179,10 @@ struct CompiledModule {
   std::vector<std::string> columns;
   bool row_records = false;
   std::string ir;                    ///< unoptimized IR, for inspection
-  QueryFn query_fn = nullptr;        ///< whole-relation mode
-  BuildFn build_fn = nullptr;        ///< morsel mode
-  PipelineFn pipeline_fn = nullptr;  ///< morsel mode
-  /// Morsel mode: one drain function per outer chain join, deepest-first,
-  /// with the matching join-table ids (bitmap sizing + OR source).
+  BuildFn build_fn = nullptr;
+  PipelineFn pipeline_fn = nullptr;
+  /// One drain function per outer chain join, deepest-first, with the
+  /// matching join-table ids (bitmap sizing + OR source).
   std::vector<DrainFn> drain_fns;
   std::vector<uint32_t> outer_join_tables;
   RuntimeLayout layout;

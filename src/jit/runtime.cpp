@@ -35,23 +35,11 @@ std::vector<std::pair<std::string, void*>> RuntimeSymbols() {
       {"proteus_join_probe_row", reinterpret_cast<void*>(&proteus_join_probe_row)},
       {"proteus_join_rows", reinterpret_cast<void*>(&proteus_join_rows)},
       {"proteus_join_payload_at", reinterpret_cast<void*>(&proteus_join_payload_at)},
-      {"proteus_group_table", reinterpret_cast<void*>(&proteus_group_table)},
       {"proteus_group_upsert", reinterpret_cast<void*>(&proteus_group_upsert)},
       {"proteus_group_upsert_double", reinterpret_cast<void*>(&proteus_group_upsert_double)},
       {"proteus_group_upsert_str", reinterpret_cast<void*>(&proteus_group_upsert_str)},
       {"proteus_group_upsert_null", reinterpret_cast<void*>(&proteus_group_upsert_null)},
       {"proteus_group_str_extreme", reinterpret_cast<void*>(&proteus_group_str_extreme)},
-      {"proteus_group_count", reinterpret_cast<void*>(&proteus_group_count)},
-      {"proteus_group_key", reinterpret_cast<void*>(&proteus_group_key)},
-      {"proteus_group_key_str", reinterpret_cast<void*>(&proteus_group_key_str)},
-      {"proteus_group_row", reinterpret_cast<void*>(&proteus_group_row)},
-      {"proteus_result_emit_int", reinterpret_cast<void*>(&proteus_result_emit_int)},
-      {"proteus_result_emit_double", reinterpret_cast<void*>(&proteus_result_emit_double)},
-      {"proteus_result_emit_bool", reinterpret_cast<void*>(&proteus_result_emit_bool)},
-      {"proteus_result_emit_str", reinterpret_cast<void*>(&proteus_result_emit_str)},
-      {"proteus_result_emit_null", reinterpret_cast<void*>(&proteus_result_emit_null)},
-      {"proteus_result_end_row", reinterpret_cast<void*>(&proteus_result_end_row)},
-      {"proteus_result_end_row_set", reinterpret_cast<void*>(&proteus_result_end_row_set)},
       {"proteus_str_eq", reinterpret_cast<void*>(&proteus_str_eq)},
       {"proteus_str_lt", reinterpret_cast<void*>(&proteus_str_lt)},
       // Per-morsel partial sinks (partial_sink.h).
@@ -363,8 +351,6 @@ const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row) {
   return t.payload.data() + static_cast<size_t>(row) * t.slots_per_row;
 }
 
-void* proteus_group_table(void* ctx, uint32_t table) { return RT(ctx)->groups[table].get(); }
-
 int64_t* proteus_group_upsert(void* groups, int64_t key) { return GROUPS(groups)->Upsert(key); }
 
 int64_t* proteus_group_upsert_double(void* groups, double key) {
@@ -384,48 +370,6 @@ void proteus_group_str_extreme(int64_t* slot, int64_t seen, int32_t is_max, cons
   std::string& cur = *reinterpret_cast<std::string*>(static_cast<intptr_t>(*slot));
   const int c = std::string_view(p, static_cast<size_t>(len)).compare(cur);
   if (seen == 0 || (is_max != 0 ? c > 0 : c < 0)) cur.assign(p, static_cast<size_t>(len));
-}
-
-uint64_t proteus_group_count(void* groups) { return GROUPS(groups)->size(); }
-
-int64_t proteus_group_key(void* groups, uint64_t idx) { return GROUPS(groups)->key(idx); }
-
-const char* proteus_group_key_str(void* groups, uint64_t idx, int64_t* len) {
-  const std::string& s = GROUPS(groups)->key_str(idx);
-  *len = static_cast<int64_t>(s.size());
-  return s.data();
-}
-
-int64_t* proteus_group_row(void* groups, uint64_t idx) { return GROUPS(groups)->row(idx); }
-
-void proteus_result_emit_int(void* ctx, int64_t v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Int(v));
-}
-void proteus_result_emit_double(void* ctx, double v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Float(v));
-}
-void proteus_result_emit_bool(void* ctx, int32_t v) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Boolean(v != 0));
-}
-void proteus_result_emit_str(void* ctx, const char* p, int64_t len) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Str(std::string(p, static_cast<size_t>(len))));
-}
-void proteus_result_emit_null(void* ctx) {
-  RT(ctx)->cur_row.push_back(proteus::Value::Null());
-}
-void proteus_result_end_row(void* ctx) {
-  QueryRuntime* q = RT(ctx);
-  q->result.rows.push_back(std::move(q->cur_row));
-  q->cur_row.clear();
-}
-void proteus_result_end_row_set(void* ctx) {
-  QueryRuntime* q = RT(ctx);
-  // Box the row and dedup through the one set-monoid implementation (hash
-  // index + Equals, first appearance wins); keep it only if new.
-  if (q->result_set.InsertDistinct(proteus::Value::MakeList(q->cur_row))) {
-    q->result.rows.push_back(std::move(q->cur_row));
-  }
-  q->cur_row.clear();
 }
 
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen) {

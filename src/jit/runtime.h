@@ -3,12 +3,13 @@
 // Proteus wraps these operations in C++ functions and calls them when
 // appropriate from the generated code").
 //
-// The generated query function receives a QueryRuntime*. Join tables, group
-// tables, unnest cursors, and the result builder live here; tight per-tuple
-// work (field loads from binary data, predicate evaluation, aggregation
-// arithmetic) is emitted as straight LLVM IR and never crosses this
-// boundary. CSV/JSON token access crosses it through thin helpers, mirroring
-// the paper's plug-in calls.
+// Generated pipeline functions receive a MorselCtx* over the query's
+// QueryRuntime, where join tables and unnest cursors live; rows, aggregates
+// and group tables go to the morsel's partial sink (partial_sink.h). Tight
+// per-tuple work (field loads from binary data, predicate evaluation,
+// aggregation arithmetic) is emitted as straight LLVM IR and never crosses
+// this boundary. CSV/JSON token access crosses it through thin helpers,
+// mirroring the paper's plug-in calls.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/aggregator.h"
 #include "src/engine/partial_sink.h"
 #include "src/engine/radix_table.h"
-#include "src/engine/result.h"
 #include "src/plugins/csv_plugin.h"
 #include "src/plugins/json_plugin.h"
 
@@ -54,23 +53,14 @@ struct UnnestStateRt {
 
 /// Query-lifetime state shared by every pipeline invocation. During the
 /// morsel-parallel phase everything here is read-only: join tables are
-/// frozen after proteus_build runs, and group tables are only touched by
-/// single-call code — the legacy whole-relation path, or a mid-chain Nest
-/// inside a join build subtree (which runs once, inside proteus_build).
-/// Per-task mutable state lives in MorselCtx.
+/// frozen after proteus_build runs. Per-task mutable state lives in
+/// MorselCtx.
 struct QueryRuntime {
   std::vector<std::unique_ptr<JoinTableRt>> joins;
-  std::vector<std::unique_ptr<TypedGroupTable>> groups;
   uint32_t num_unnests = 0;
   /// Parallel radix build for join tables (byte-identical layout to the
   /// serial build); null builds serially.
   TaskScheduler* scheduler = nullptr;
-  QueryResult result;       // legacy whole-relation path only
-  std::vector<Value> cur_row;
-  /// Legacy whole-relation set-monoid roots: proteus_result_end_row_set
-  /// boxes each finished row and keeps it only if this set accumulator —
-  /// the same dedup the interpreter applies — hasn't seen an equal row.
-  Aggregator result_set{Monoid::kSet};
   bool failed = false;
   std::string error;
 
@@ -81,17 +71,13 @@ struct QueryRuntime {
     joins.push_back(std::move(t));
     return static_cast<uint32_t>(joins.size() - 1);
   }
-  uint32_t AddGroup(TypedGroupSpec spec) {
-    groups.push_back(std::make_unique<TypedGroupTable>(std::move(spec)));
-    return static_cast<uint32_t>(groups.size() - 1);
-  }
   uint32_t AddUnnest() { return num_unnests++; }
 };
 
 /// Per-invocation mutable state of one generated pipeline call: every
 /// runtime helper takes a MorselCtx* so concurrent morsel tasks never write
 /// shared state. Unnest cursors and join probe iterators are per-task; the
-/// legacy whole-relation path simply runs with a single ctx.
+/// one-shot build and drain functions run with a ctx of their own.
 struct MorselCtx {
   explicit MorselCtx(QueryRuntime* runtime)
       : rt(runtime), unnests(runtime->num_unnests), probes(runtime->joins.size()) {}
@@ -172,13 +158,10 @@ int64_t proteus_join_probe_row(void* ctx, uint32_t table);
 int64_t proteus_join_rows(void* ctx, uint32_t table);
 const int64_t* proteus_join_payload_at(void* ctx, uint32_t table, int64_t row);
 
-// Hash grouping (Nest). `groups` is a TypedGroupTable*: the query-lifetime
-// table of a whole-relation nest (proteus_group_table — the legacy
-// single-call path and mid-chain nests inside build pipelines) or a morsel
-// sink's (proteus_sink_groups). One upsert per grouped row returns the
-// group's row: each output's accumulator bits, then each output's count of
+// Hash grouping (Nest). `groups` is the TypedGroupTable* of a morsel sink
+// (proteus_sink_groups). One upsert per grouped row returns the group's
+// row: each output's accumulator bits, then each output's count of
 // contributing rows; the generated fold updates it in place.
-void* proteus_group_table(void* ctx, uint32_t table);
 int64_t* proteus_group_upsert(void* groups, int64_t key);
 int64_t* proteus_group_upsert_double(void* groups, double key);
 int64_t* proteus_group_upsert_str(void* groups, const char* key, int64_t len);
@@ -187,22 +170,6 @@ int64_t* proteus_group_upsert_null(void* groups);
 // (p, len) when `seen` is 0 or the value beats it.
 void proteus_group_str_extreme(int64_t* slot, int64_t seen, int32_t is_max, const char* p,
                                int64_t len);
-uint64_t proteus_group_count(void* groups);
-int64_t proteus_group_key(void* groups, uint64_t idx);
-const char* proteus_group_key_str(void* groups, uint64_t idx, int64_t* len);
-int64_t* proteus_group_row(void* groups, uint64_t idx);
-
-// Result building (legacy single-call path; morsel pipelines emit rows into
-// their JitMorselSink instead).
-void proteus_result_emit_int(void* ctx, int64_t v);
-void proteus_result_emit_double(void* ctx, double v);
-void proteus_result_emit_bool(void* ctx, int32_t v);
-void proteus_result_emit_str(void* ctx, const char* p, int64_t len);
-void proteus_result_emit_null(void* ctx);
-void proteus_result_end_row(void* ctx);
-// Set-monoid root (legacy whole-relation mode): ends the staged row only if
-// no equal row was emitted before (hash of the boxed row + cell equality).
-void proteus_result_end_row_set(void* ctx);
 
 // Strings.
 int32_t proteus_str_eq(const char* a, int64_t alen, const char* b, int64_t blen);

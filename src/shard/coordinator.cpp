@@ -19,8 +19,6 @@ ShardCoordinator::ShardCoordinator(ExecContext base, int num_shards, int threads
       threads_per_shard_(threads_per_shard),
       use_jit_(use_jit) {}
 
-bool ShardCoordinator::PlanIsShardable(const OpPtr& plan) { return proteus::PlanIsShardable(plan); }
-
 Result<QueryResult> ShardCoordinator::Run(const OpPtr& plan, ShardTransport* transport,
                                           ShardExecStats* stats) {
   if (!PlanIsShardable(plan)) {

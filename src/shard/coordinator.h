@@ -70,10 +70,6 @@ class ShardCoordinator {
   ShardCoordinator(ExecContext base, int num_shards, int threads_per_shard,
                    bool use_jit = false);
 
-  /// True when `plan` decomposes into independent shards (delegates to
-  /// PlanIsShardable: morsel-parallelizable, no outer joins in the chain).
-  static bool PlanIsShardable(const OpPtr& plan);
-
   /// Executes `plan` (root = Reduce) across shards and merges their partial
   /// results deterministically in shard order.
   Result<QueryResult> Run(const OpPtr& plan, ShardTransport* transport,

@@ -642,10 +642,9 @@ TEST(JitOuterJoin, ShardedEnginesDeclineButStillRunJit) {
 }
 
 TEST(JitSetOutput, LegacyWholeRelationModeDeduplicates) {
-  // A Select above a Nest is not morsel-parallelizable, so the set root
-  // compiles through the legacy whole-relation engine — whose row emission
-  // dedups via the hashed result_row_set, first appearance winning, exactly
-  // like the interpreter's set Aggregator.
+  // A Select above a Nest puts the Nest below the root's child, a shape the
+  // front end never builds and the JIT does not compile: the interpreter
+  // serves the set root, and the fallback reason names the Nest.
   auto make_plan = [] {
     OpPtr scan = Operator::Scan("lineitem_bincol", "l");
     OpPtr nest = Operator::Nest(scan, Proj("l", "l_linenumber"), "ln",
@@ -661,9 +660,10 @@ TEST(JitSetOutput, LegacyWholeRelationModeDeduplicates) {
   ASSERT_TRUE(oracle.status.ok()) << oracle.status.ToString();
   RunInfo jit = RunPlanConfig(make_plan, ExecMode::kJIT, 1);
   ASSERT_TRUE(jit.status.ok()) << jit.status.ToString();
-  ExpectIdentical(oracle.result, jit.result, "legacy set output");
-  EXPECT_TRUE(jit.telemetry.used_jit) << jit.telemetry.fallback_reason;
-  EXPECT_FALSE(jit.telemetry.jit_parallel) << "Nest mid-chain takes the legacy engine";
+  testutil::ExpectBitIdentical(oracle.result, jit.result, "set output over a mid-plan Nest");
+  EXPECT_FALSE(jit.telemetry.used_jit);
+  EXPECT_NE(jit.telemetry.fallback_reason.find("Nest"), std::string::npos)
+      << jit.telemetry.fallback_reason;
   EXPECT_LE(jit.result.rows.size(), 3u) << "mod-3 keys must deduplicate";
 }
 
@@ -1504,20 +1504,19 @@ const char* LevelName(jit::CodegenLevel level) {
 }
 
 /// Compiles the physical plan of `logical(engine)` through jit::CompilePlan
-/// at tier 1 with the codegen level pinned to `level`, then runs it once:
-/// as one whole-relation call, or over every morsel of the plan's
-/// decomposition folded through FinalizePlanPartials.
-EngineRun CompiledAt(std::function<OpPtr(QueryEngine*)> physical, jit::CodegenMode mode,
-                     jit::CodegenLevel level) {
-  return [physical, mode, level](QueryEngine* e) -> Result<QueryResult> {
+/// at tier 1 with the codegen level pinned to `level`, then runs it once
+/// over every morsel of the plan's decomposition folded through
+/// FinalizePlanPartials.
+EngineRun CompiledAt(std::function<OpPtr(QueryEngine*)> physical, jit::CodegenLevel level) {
+  return [physical, level](QueryEngine* e) -> Result<QueryResult> {
     OpPtr plan = physical(e);
     if (plan == nullptr) return Status::InvalidArgument("no plan");
     const ExecContext ctx = testutil::ContextOf(e);
-    PROTEUS_ASSIGN_OR_RETURN(std::shared_ptr<const jit::CompiledModule> module,
-                             jit::CompilePlan(ctx, plan, mode, /*tier=*/1, level));
+    PROTEUS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const jit::CompiledModule> module,
+        jit::CompilePlan(ctx, plan, jit::CodegenMode::kMorsel, /*tier=*/1, level));
     if (module->level != level) return Status::Internal("module compiled at another level");
     JitExecutor jit(ctx);
-    if (mode == jit::CodegenMode::kWholeRelation) return jit.ExecutePrecompiled(module);
     InterpExecutor interp(ctx);
     PROTEUS_ASSIGN_OR_RETURN(uint64_t morsels, interp.CountPlanMorsels(plan));
     PROTEUS_ASSIGN_OR_RETURN(PlanPartials partials,
@@ -1532,15 +1531,15 @@ std::function<OpPtr(QueryEngine*)> SqlPlan(const std::string& sql) {
   return [sql](QueryEngine* e) { return testutil::PhysicalPlan(e, sql); };
 }
 
-/// Runs `physical` at both tier-1 levels in `mode` and expects each result
-/// to be bit-identical to `oracle`.
+/// Runs `physical` at both tier-1 levels and expects each result to be
+/// bit-identical to `oracle`.
 void ExpectBothLevelsMatch(const NestRun& oracle,
                            const std::function<OpPtr(QueryEngine*)>& physical,
-                           jit::CodegenMode mode, const std::string& what) {
+                           const std::string& what) {
   ASSERT_TRUE(oracle.info.status.ok()) << what << "\n" << oracle.info.status.ToString();
   for (jit::CodegenLevel level : kTierOneLevels) {
     const std::string ctx = what + " @ CodeGenOpt::" + LevelName(level);
-    NestRun jit = RunNestCase(CompiledAt(physical, mode, level), ExecMode::kJIT, 4);
+    NestRun jit = RunNestCase(CompiledAt(physical, level), ExecMode::kJIT, 4);
     ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
     testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
   }
@@ -1562,16 +1561,20 @@ TEST(CompiledLevels, MorselPlansBitIdenticalAtBothTierOneLevels) {
                       " GROUP BY s");
     queries.push_back("SELECT max(fk), min(fk), sum(v), count(*) FROM " + d + " WHERE day > 20");
   }
+  // Bool extremes fold as 0/1 integers and flush as Bools.
+  queries.push_back("SELECT max(flag) FROM nest_bincol");
+  queries.push_back("SELECT min(flag) FROM nest_csv");
+  queries.push_back("SELECT max(flag), min(flag) FROM nest_json");
   for (const std::string& q : queries) {
     NestRun oracle =
         RunNestCase([&](QueryEngine* e) { return e->Execute(q); }, ExecMode::kInterp, 1);
-    ExpectBothLevelsMatch(oracle, SqlPlan(q), jit::CodegenMode::kMorsel, q);
+    ExpectBothLevelsMatch(oracle, SqlPlan(q), q);
   }
 }
 
 TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
-  // The whole-relation root emits the interpreter's empty results: a max or
-  // min that saw no row is null, an empty float sum is the integer 0.
+  // Generated roots give the interpreter's empty results: a max or min that
+  // saw no row is null, an empty float sum is the integer 0.
   for (const char* ds : {"nest_bincol", "nest_csv", "nest_json"}) {
     const std::string q = std::string("SELECT max(v), min(fk), max(day), min(day), sum(v), "
                                       "sum(day), count(*) FROM ") +
@@ -1582,11 +1585,11 @@ TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
     ASSERT_EQ(oracle.info.result.rows.size(), 1u) << q;
     EXPECT_TRUE(oracle.info.result.rows[0][0].is_null()) << q;
     EXPECT_TRUE(oracle.info.result.rows[0][4].is_int()) << q;
-    ExpectBothLevelsMatch(oracle, SqlPlan(q), jit::CodegenMode::kWholeRelation, q);
+    ExpectBothLevelsMatch(oracle, SqlPlan(q), q);
   }
-  // Group rows a whole-relation Nest hands to its consumer: the groups of
-  // orders with an empty lineitems array see only the outer unnest's null
-  // element, so their max/min stay null.
+  // Group rows a root Nest hands to the Reduce: the groups of orders with an
+  // empty lineitems array see only the outer unnest's null element, so their
+  // max/min stay null.
   auto grouped = [] {
     OpPtr unnest = Operator::Unnest(Operator::Scan("holey_denorm", "o"), {"o", "lineitems"},
                                     "l", nullptr, /*outer=*/true);
@@ -1608,7 +1611,76 @@ TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
   EXPECT_EQ(null_max, 7u) << "orders 3,6,...,21 have empty arrays";
   ExpectBothLevelsMatch(
       oracle, [&](QueryEngine* e) { return testutil::PhysicalPlan(e, grouped()); },
-      jit::CodegenMode::kWholeRelation, "whole-relation nest over an outer unnest");
+      "nest over an outer unnest");
+}
+
+TEST(JitMidPlanNest, SelectOverNestMatchesTheInterpreterBitForBit) {
+  // A Select over a Nest puts the Nest below the root's child, where the JIT
+  // does not compile it. The groups of orders with an empty lineitems array
+  // see only the outer unnest's null element, so their float sum is the
+  // interpreter's Int 0; the plan must return exactly that at every thread
+  // count, value kinds included.
+  auto plan = [] {
+    OpPtr unnest = Operator::Unnest(Operator::Scan("holey_denorm", "o"), {"o", "lineitems"},
+                                    "l", nullptr, /*outer=*/true);
+    OpPtr nest = Operator::Nest(unnest, Proj("o", "o_orderkey"), "k",
+                                {{Monoid::kSum, Proj("l", "l_extendedprice"), "sump"}},
+                                nullptr, "g");
+    OpPtr sel =
+        Operator::Select(nest, Expr::Bin(BinOp::kGt, Proj("g", "k"), Expr::Int(0)));
+    ExprPtr rec = Expr::Record({"k", "sump"}, {Proj("g", "k"), Proj("g", "sump")});
+    return Operator::Reduce(sel, {{Monoid::kBag, rec, "rows"}});
+  };
+  const EngineRun run = [&](QueryEngine* e) { return e->ExecutePlan(plan()); };
+  NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
+  ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
+  size_t int_sums = 0;
+  for (const auto& row : oracle.info.result.rows) int_sums += row[1].is_int() ? 1 : 0;
+  EXPECT_EQ(int_sums, 7u) << "orders 3,6,...,21 have empty arrays";
+  for (int threads : {1, 4}) {
+    const std::string ctx = "select over nest @ jit threads=" + std::to_string(threads);
+    NestRun jit = RunNestCase(run, ExecMode::kJIT, threads);
+    ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
+    testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
+    EXPECT_FALSE(jit.info.telemetry.used_jit) << ctx;
+  }
+}
+
+TEST(JitMidPlanNest, NestInJoinBuildSideFinishesOnTheInterpreterOnEveryRoute) {
+  // A Nest on a join's build side is below the root's child too. The JIT
+  // route falls back with a reason naming the Nest; shards and the tiered
+  // controller finish on the interpreter through their own fallbacks.
+  auto plan = [] {
+    OpPtr nest = Operator::Nest(Operator::Scan("lineitem_json", "l"), Proj("l", "l_orderkey"),
+                                "k", {{Monoid::kCount, nullptr, "n"}}, nullptr, "g");
+    OpPtr join = Operator::Join(nest, Operator::Scan("orders_json", "o"),
+                                Expr::Bin(BinOp::kEq, Proj("g", "k"), Proj("o", "o_orderkey")));
+    return Operator::Reduce(join, {{Monoid::kCount, nullptr, "orders"},
+                                   {Monoid::kSum, Proj("g", "n"), "lines"}});
+  };
+  const EngineRun run = [&](QueryEngine* e) { return e->ExecutePlan(plan()); };
+  NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
+  ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
+  ASSERT_EQ(oracle.info.result.rows.size(), 1u);
+  EXPECT_GT(oracle.info.result.rows[0][0].i(), 0) << "the join must match orders";
+  for (int threads : {1, 4}) {
+    const std::string ctx = "build-side nest @ jit threads=" + std::to_string(threads);
+    NestRun jit = RunNestCase(run, ExecMode::kJIT, threads);
+    ASSERT_TRUE(jit.info.status.ok()) << ctx << "\n" << jit.info.status.ToString();
+    testutil::ExpectBitIdentical(oracle.info.result, jit.info.result, ctx);
+    EXPECT_FALSE(jit.info.telemetry.used_jit) << ctx;
+    EXPECT_NE(jit.info.telemetry.fallback_reason.find("Nest"), std::string::npos)
+        << ctx << ": " << jit.info.telemetry.fallback_reason;
+  }
+  NestRun sharded = RunNestCase(run, ExecMode::kJIT, 2, /*shards=*/2);
+  ASSERT_TRUE(sharded.info.status.ok()) << sharded.info.status.ToString();
+  testutil::ExpectBitIdentical(oracle.info.result, sharded.info.result, "2 shards");
+  EXPECT_EQ(sharded.info.telemetry.shards_used, 2);
+  EXPECT_FALSE(sharded.info.telemetry.used_jit);
+  NestRun tiered = RunNestCase(run, ExecMode::kJIT, 2, 0, /*swap_after=*/1);
+  ASSERT_TRUE(tiered.info.status.ok()) << tiered.info.status.ToString();
+  testutil::ExpectBitIdentical(oracle.info.result, tiered.info.result, "tiered");
+  EXPECT_EQ(tiered.info.telemetry.morsels_jit, 0u);
 }
 
 }  // namespace

@@ -30,16 +30,11 @@ QueryEngine& CompileEngine() {
 }
 
 double CompileMs(const std::string& q) {
-  QueryEngine& e = CompileEngine();
-  auto r = e.Execute(q);
-  if (!r.ok()) {
-    fprintf(stderr, "%s\n", r.status().ToString().c_str());
-    std::abort();
-  }
-  if (!e.telemetry().used_jit) {
+  const QueryTelemetry t = ExecuteOrDie(CompileEngine(), q, "codegen cost: " + q);
+  if (!t.used_jit) {
     fprintf(stderr, "query fell back to interpreter: %s\n", q.c_str());
   }
-  return e.telemetry().compile_ms;
+  return t.compile_ms;
 }
 
 /// One cold tiered execution on a fresh engine (empty cache, background
@@ -83,12 +78,7 @@ TieredColdRunResult TieredColdRun(const std::string& q) {
     opts.morsel_rows = 1024;
     QueryEngine engine(opts);
     RegisterBenchDatasets(&engine);
-    auto r = engine.Execute(q);
-    if (!r.ok()) {
-      fprintf(stderr, "tiered bench: %s\n  %s\n", q.c_str(), r.status().ToString().c_str());
-      std::abort();
-    }
-    const QueryTelemetry& t = engine.telemetry();
+    const QueryTelemetry t = ExecuteOrDie(engine, q, "tiered bench: " + q);
     if (t.jit_cache_hit) {
       fprintf(stderr, "tiered bench: cold run was served warm: %s\n", q.c_str());
       std::abort();

@@ -24,6 +24,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/baselines/baselines.h"
@@ -54,6 +55,28 @@ inline double WallMs(const std::function<void()>& f) {
   f();
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Runs `query` (SQL text or a logical plan) on `e` and returns this query's
+/// telemetry. Aborts, printing `who` and the status, if the query fails.
+template <typename Query>
+QueryTelemetry ExecuteOrDie(QueryEngine& e, Query query, const std::string& who) {
+  QueryTelemetry tel;
+  CallOptions call;
+  call.telemetry = &tel;
+  Result<QueryResult> r = [&] {
+    if constexpr (std::is_same_v<Query, OpPtr>) {
+      return e.ExecutePlan(std::move(query), call);
+    } else {
+      return e.Execute(query, call);
+    }
+  }();
+  if (!r.ok()) {
+    fprintf(stderr, "%s\n  %s\n", who.c_str(), r.status().ToString().c_str());
+    std::abort();
+  }
+  benchmark::DoNotOptimize(r->rows);
+  return tel;
 }
 
 /// Engine options every bench engine is built with: default execution knobs
@@ -166,7 +189,7 @@ class BenchReport {
     auto b = [](bool v) { return v ? "true" : "false"; };
     o << "{\"execute_ms\":" << Num(t.execute_ms)
       << ",\"optimize_ms\":" << Num(t.optimize_ms)
-      << ",\"jit_compile_ms\":" << Num(t.jit_compile_ms)
+      << ",\"jit_compile_ms\":" << Num(t.compile_ms)
       << ",\"used_jit\":" << b(t.used_jit) << ",\"jit_parallel\":" << b(t.jit_parallel)
       << ",\"jit_cache_hit\":" << b(t.jit_cache_hit)
       << ",\"threads_used\":" << t.threads_used << ",\"morsels\":" << t.morsels
@@ -336,15 +359,11 @@ inline QueryEngine& ThreadedEngine(int threads) {
 
 /// Runs one query on the `threads`-worker engine, returns execution ms.
 inline double ThreadedMs(int threads, const std::string& query) {
-  QueryEngine& e = ThreadedEngine(threads);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus[%d threads]: %s\n  %s\n", threads, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  const QueryTelemetry t = ExecuteOrDie(
+      ThreadedEngine(threads), query,
+      "proteus[" + std::to_string(threads) + " threads]: " + query);
+  BenchReport::Get().AttachTelemetry(t);
+  return t.execute_ms;
 }
 
 /// Engine running morsel-parallel *generated* pipelines at a fixed worker
@@ -371,20 +390,16 @@ inline QueryEngine& JitThreadedEngine(int threads) {
 /// a jit-parallel bench variant that silently measured the interpreter
 /// would be the exact reporting bug the telemetry work closed.
 inline double JitThreadedMs(int threads, const std::string& query) {
-  QueryEngine& e = JitThreadedEngine(threads);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus jit[%d threads]: %s\n  %s\n", threads, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  if (!e.telemetry().jit_parallel) {
+  const QueryTelemetry t = ExecuteOrDie(
+      JitThreadedEngine(threads), query,
+      "proteus jit[" + std::to_string(threads) + " threads]: " + query);
+  if (!t.jit_parallel) {
     fprintf(stderr, "proteus jit[%d threads] fell back to the interpreter: %s\n  %s\n",
-            threads, query.c_str(), e.telemetry().fallback_reason.c_str());
+            threads, query.c_str(), t.fallback_reason.c_str());
     std::abort();
   }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  BenchReport::Get().AttachTelemetry(t);
+  return t.execute_ms;
 }
 
 /// Shard counts exercised by the partitioned scale-out variants.
@@ -414,21 +429,16 @@ inline QueryEngine& ShardedEngine(int shards) {
 
 /// Runs one query on the `shards`-shard engine, returns execution ms.
 inline double ShardedMs(int shards, const std::string& query) {
-  QueryEngine& e = ShardedEngine(shards);
-  auto r = e.Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus[%d shards]: %s\n  %s\n", shards, query.c_str(),
-            r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(e.telemetry());
-  return e.telemetry().execute_ms;
+  const QueryTelemetry t = ExecuteOrDie(
+      ShardedEngine(shards), query, "proteus[" + std::to_string(shards) + " shards]: " + query);
+  BenchReport::Get().AttachTelemetry(t);
+  return t.execute_ms;
 }
 
 /// Cold-vs-warm compiled-query-cache measurement: executes `query` twice on
 /// a fresh JIT engine and reports the compile cost of each run. The cold run
-/// compiles (jit_compile_ms > 0, cache miss); the warm run must be served by
-/// the compiled-query cache (jit_cache_hit, jit_compile_ms ~ 0) — the bench
+/// compiles (compile_ms > 0, cache miss); the warm run must be served by
+/// the compiled-query cache (jit_cache_hit, compile_ms ~ 0) — the bench
 /// aborts if it is not, so a cache regression fails loudly instead of
 /// silently re-paying compile cost. `warm_runs` extra executions let callers
 /// amortize noise; the hit is asserted on every one.
@@ -442,22 +452,14 @@ struct ColdWarmCompile {
 inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1) {
   QueryEngine engine(BenchEngineOptions());  // fresh: its query cache starts empty
   RegisterBenchDatasets(&engine);
-  auto run = [&]() -> QueryTelemetry {
-    auto r = engine.Execute(query);
-    if (!r.ok()) {
-      fprintf(stderr, "proteus cache bench: %s\n  %s\n", query.c_str(),
-              r.status().ToString().c_str());
-      std::abort();
-    }
-    return engine.telemetry();
-  };
+  auto run = [&] { return ExecuteOrDie(engine, query, "proteus cache bench: " + query); };
   ColdWarmCompile out;
   const QueryTelemetry cold = run();
   if (!cold.used_jit || cold.jit_cache_hit) {
     fprintf(stderr, "cache bench: cold run expected a JIT compile: %s\n", query.c_str());
     std::abort();
   }
-  out.cold_compile_ms = cold.jit_compile_ms;
+  out.cold_compile_ms = cold.compile_ms;
   for (int i = 0; i < warm_runs; ++i) {
     const QueryTelemetry warm = run();
     if (!warm.jit_cache_hit) {
@@ -465,7 +467,7 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
               query.c_str());
       std::abort();
     }
-    out.warm_compile_ms += warm.jit_compile_ms;
+    out.warm_compile_ms += warm.compile_ms;
   }
   out.warm_compile_ms /= warm_runs;
   const auto stats = engine.jit_cache()->stats();
@@ -480,13 +482,9 @@ inline ColdWarmCompile CacheColdWarm(const std::string& query, int warm_runs = 1
 
 /// Runs one Proteus query and returns execution ms (excludes compile).
 inline double ProteusMs(const std::string& query) {
-  auto r = Systems::Get().proteus->Execute(query);
-  if (!r.ok()) {
-    fprintf(stderr, "proteus: %s\n  %s\n", query.c_str(), r.status().ToString().c_str());
-    std::abort();
-  }
-  BenchReport::Get().AttachTelemetry(Systems::Get().proteus->telemetry());
-  return Systems::Get().proteus->telemetry().execute_ms;
+  const QueryTelemetry t = ExecuteOrDie(*Systems::Get().proteus, query, "proteus: " + query);
+  BenchReport::Get().AttachTelemetry(t);
+  return t.execute_ms;
 }
 
 template <typename Engine>

@@ -112,19 +112,16 @@ void Register() {
           std::move(join),
           {{Monoid::kCount, nullptr, "n"},
            {Monoid::kMax, Expr::Proj(Expr::Var("o"), "o_totalprice"), "maxp"}});
-      auto r = e.ExecutePlan(std::move(plan));
-      if (!r.ok()) {
-        fprintf(stderr, "proteus jit[%d threads] outer join failed: %s\n", threads,
-                r.status().ToString().c_str());
-        std::abort();
-      }
-      if (!e.telemetry().used_jit || !e.telemetry().jit_parallel) {
+      const QueryTelemetry t =
+          ExecuteOrDie(e, std::move(plan),
+                       "proteus jit[" + std::to_string(threads) + " threads] outer join failed");
+      if (!t.used_jit || !t.jit_parallel) {
         fprintf(stderr,
                 "proteus jit[%d threads] outer join fell back to the interpreter: %s\n",
-                threads, e.telemetry().fallback_reason.c_str());
+                threads, t.fallback_reason.c_str());
         std::abort();
       }
-      return e.telemetry().execute_ms;
+      return t.execute_ms;
     });
   }
 }

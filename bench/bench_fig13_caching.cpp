@@ -33,15 +33,11 @@ QueryEngine& CachedEngine() {
 }
 
 double CachedMs(const std::string& q) {
-  auto r = CachedEngine().Execute(q);
-  if (!r.ok()) {
-    fprintf(stderr, "cached: %s\n", r.status().ToString().c_str());
-    std::abort();
-  }
-  if (!CachedEngine().telemetry().used_cache) {
+  const QueryTelemetry t = ExecuteOrDie(CachedEngine(), q, "cached: " + q);
+  if (!t.used_cache) {
     fprintf(stderr, "warning: query did not hit the cache: %s\n", q.c_str());
   }
-  return CachedEngine().telemetry().execute_ms;
+  return t.execute_ms;
 }
 
 void Register() {

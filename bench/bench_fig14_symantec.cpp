@@ -238,17 +238,11 @@ struct Workload {
     });
   }
   double proteus_codegen_ms = 0;  ///< accumulated LLVM compile time
+  QueryTelemetry proteus_last;    ///< telemetry of the latest Proteus query
 
   double RunProteus(const std::string& sql) {
-    double ms = WallMs([&] {
-      auto r = proteus->Execute(sql);
-      if (!r.ok()) {
-        fprintf(stderr, "proteus: %s\n  %s\n", sql.c_str(), r.status().ToString().c_str());
-        std::abort();
-      }
-      benchmark::DoNotOptimize(r->rows);
-    });
-    proteus_codegen_ms += proteus->telemetry().compile_ms;
+    double ms = WallMs([&] { proteus_last = ExecuteOrDie(*proteus, sql, "proteus: " + sql); });
+    proteus_codegen_ms += proteus_last.compile_ms;
     return ms;
   }
 };
@@ -609,7 +603,7 @@ int main(int argc, char** argv) {
     double fed = q.federated();
     BenchReport::Get().Record(base + "Federated", fed);
     double pro = q.proteus();
-    BenchReport::Get().AttachTelemetry(w.proteus->telemetry());
+    BenchReport::Get().AttachTelemetry(w.proteus_last);
     BenchReport::Get().Record(base + "Proteus", pro);
     pg_total += pg;
     fed_total += fed;

@@ -77,7 +77,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& query, const CallOpt
   if (!plan.ok()) {
     // Queries that never produce a plan still count: a fleet dashboard that
     // missed parse/bind failures would under-report the error rate.
-    if (opts_.metrics != nullptr) RecordMetrics(QueryTelemetry{}, false);
+    if (opts_.metrics != nullptr) RecordMetrics(QueryTelemetry{}, false, 0);
     return plan.status();
   }
   return ExecutePlan(std::move(*plan), call);
@@ -87,38 +87,30 @@ Result<QueryResult> QueryEngine::ExecutePlan(OpPtr logical_plan, const CallOptio
   // Per-query state lives on this call's stack (or in the caller's
   // out-params) — nothing here touches engine members without a lock, which
   // is what makes N concurrent ExecutePlan calls on one engine safe.
+  const auto t0 = std::chrono::steady_clock::now();
   QueryTelemetry local_tel;
   QueryTelemetry& tel = call.telemetry != nullptr ? *call.telemetry : local_tel;
   tel = QueryTelemetry{};
-  std::string local_ir;
-  std::string& ir = call.ir != nullptr ? *call.ir : local_ir;
-  ir.clear();
+  if (call.ir != nullptr) call.ir->clear();
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (opts_.metrics != nullptr) opts_.metrics->GetGauge("proteus_queries_inflight")->Add(1);
 
-  auto result = ExecutePlanInner(std::move(logical_plan), call, tel, ir);
+  auto result = ExecutePlanInner(std::move(logical_plan), call, tel);
   if (!result.ok() && result.status().code() == StatusCode::kCancelled) {
     tel.cancelled = true;
   }
 
   if (opts_.metrics != nullptr) {
     opts_.metrics->GetGauge("proteus_queries_inflight")->Add(-1);
-    RecordMetrics(tel, result.ok());
+    RecordMetrics(tel, result.ok(), MsSince(t0));
   }
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
-
-  // Refresh the legacy single-caller mirrors (telemetry() / last_ir()).
-  {
-    MutexLock lk(legacy_mu_);
-    telemetry_ = tel;
-    last_ir_ = ir;
-  }
   return result;
 }
 
 Result<QueryResult> QueryEngine::ExecutePlanInner(OpPtr logical_plan, const CallOptions& call,
-                                                  QueryTelemetry& tel, std::string& ir) {
+                                                  QueryTelemetry& tel) {
   // Per-query trace reset — but only when this query runs alone. A straggler
   // background compile that published after this point intentionally lands
   // in this query's snapshot (it shows the compile landing); with other
@@ -155,7 +147,7 @@ Result<QueryResult> QueryEngine::ExecutePlanInner(OpPtr logical_plan, const Call
   }
   tel.plan = physical->ToString();
   AppendJoinStrategies(*physical, &tel.join_strategy);
-  return Run(std::move(physical), call, tel, ir);
+  return Run(std::move(physical), call, tel);
 }
 
 Status QueryEngine::PopulateCaches(const OpPtr& physical) {
@@ -226,8 +218,8 @@ Status QueryEngine::PopulateCaches(const OpPtr& physical) {
   return Status::OK();
 }
 
-Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel,
-                                     std::string& ir) {
+Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call,
+                                     QueryTelemetry& tel) {
   ExecContext ctx;
   ctx.catalog = &catalog_;
   ctx.plugins = &plugins_;
@@ -248,16 +240,26 @@ Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call, Qu
   // Per-query steal telemetry by attribution, not by delta: a StatsScope on
   // this thread tags every ParallelFor this query submits, so the scheduler
   // credits its dealt/stolen tasks to this query alone — exact even with N
-  // concurrent queries interleaving on the shared pool (the old
-  // read-lifetime-totals-twice delta charged one query with its neighbors'
-  // work). Sharded runs use per-shard pools instead (summed by the
-  // coordinator), so RunInner overwrites these with the shard totals.
+  // concurrent queries interleaving on the shared pool. Sharded runs use
+  // per-shard pools instead, which the shard route reports itself.
   TaskScheduler::BatchStats query_stats;
-  Result<QueryResult> result = [&] {
+  bool background_compile = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
     TaskScheduler::StatsScope stats_scope(&query_stats);
     OBS_SPAN(ctx.trace, "execute");
-    return RunInner(ctx, std::move(physical), tel, ir);
+    // Open every scanned plug-in before any route runs, so the structural
+    // index and cold-access stats land in open_ms and never inside a
+    // compile (codegen only looks the open plug-ins up).
+    const auto t_open = std::chrono::steady_clock::now();
+    PROTEUS_RETURN_NOT_OK(PreOpenPlanPlugins(ctx, physical));
+    tel.open_ms = MsSince(t_open);
+    return RunInner(ctx, physical, tel, call.ir, &background_compile);
   }();
+
+  // The one derivation of the fields every route shares.
+  tel.execute_ms = MsSince(t0) - tel.open_ms - (background_compile ? 0 : tel.compile_ms);
+  tel.jit_parallel = tel.used_jit;
   if (tel.shards_used == 0) {
     tel.steals = query_stats.steals;
     tel.tasks_dealt = query_stats.dealt;
@@ -265,7 +267,7 @@ Result<QueryResult> QueryEngine::Run(OpPtr physical, const CallOptions& call, Qu
   return result;
 }
 
-void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
+void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok, double latency_ms) const {
   obs::MetricsRegistry* m = opts_.metrics;
   m->GetCounter("proteus_queries_total")->Increment();
   if (tel.cancelled) {
@@ -278,9 +280,9 @@ void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
     m->GetCounter("proteus_query_errors_total")->Increment();
     return;
   }
-  m->GetHistogram("proteus_query_latency_ms")->Observe(tel.execute_ms);
-  if (tel.jit_compile_ms > 0) {
-    m->GetHistogram("proteus_compile_ms")->Observe(tel.jit_compile_ms);
+  m->GetHistogram("proteus_query_latency_ms")->Observe(latency_ms);
+  if (tel.compile_ms > 0) {
+    m->GetHistogram("proteus_compile_ms")->Observe(tel.compile_ms);
   }
   if (tel.used_jit) {
     m->GetCounter(tel.jit_cache_hit ? "proteus_jit_cache_hits_total"
@@ -299,9 +301,9 @@ void QueryEngine::RecordMetrics(const QueryTelemetry& tel, bool ok) const {
   }
 }
 
-Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, QueryTelemetry& tel,
-                                          std::string& ir) {
-  auto t0 = std::chrono::steady_clock::now();
+Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, const OpPtr& physical,
+                                          QueryTelemetry& tel, std::string* ir,
+                                          bool* background_compile) {
   // Sharded routing: num_shards >= 1 is an explicit opt-in, so shardable
   // plans go through the coordinator ahead of the JIT/interpreter choice.
   // Non-shardable plans (outer joins, Nest mid-chain) fall through to the
@@ -322,7 +324,6 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     tel.tasks_dealt = shard_stats.tasks_dealt;
     tel.steals = shard_stats.steals;
     tel.used_jit = shard_stats.jit_shards > 0;
-    tel.jit_parallel = shard_stats.jit_shards > 0;
     tel.compile_tier = shard_stats.compile_tier;
     tel.morsels_interpreted = shard_stats.morsels_interpreted;
     tel.morsels_jit = shard_stats.morsels_jit;
@@ -334,14 +335,10 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     // disabled (jit_cache_capacity = 0) no per-shard compile cost is
     // observable, so compile telemetry honestly stays at its zeros and
     // jit_cache_hit stays false — there is no cache to hit.
-    tel.jit_compile_ms = shard_stats.jit_compile_ms;
-    tel.compile_ms = shard_stats.jit_compile_ms;
+    tel.compile_ms = shard_stats.compile_ms;
+    *background_compile = shard_stats.tiered_shards > 0;
     tel.jit_cache_hit = ctx.jit_cache != nullptr && shard_stats.jit_shards > 0 &&
-                               shard_stats.jit_compiles == 0 && shard_stats.jit_cache_hits > 0;
-    // Compiles run inside the fan-out (single-flight: at most one per plan),
-    // so subtracting the measured compile time keeps execute_ms ≈ plan run
-    // time, matching the unsharded JIT branch below.
-    tel.execute_ms = MsSince(t0) - tel.compile_ms;
+                        shard_stats.jit_compiles == 0 && shard_stats.jit_cache_hits > 0;
     if (opts_.mode == ExecMode::kJIT && shard_stats.jit_shards < shard_stats.shards_used) {
       tel.fallback_reason =
           std::to_string(shard_stats.shards_used - shard_stats.jit_shards) +
@@ -363,7 +360,6 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
       const Operator* nest = top->kind() == OpKind::kNest ? top.get() : nullptr;
       auto result = FinalizePlanPartials(*physical, nest, std::move(*partials), ctx.trace);
       tel.used_jit = ts.morsels_jit > 0;
-      tel.jit_parallel = ts.morsels_jit > 0;
       tel.compile_tier = ts.compile_tier;
       tel.morsels_interpreted = ts.morsels_interpreted;
       tel.morsels_jit = ts.morsels_jit;
@@ -371,13 +367,10 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
       tel.first_morsel_ms = ts.first_morsel_ms;
       tel.ir_verified = ts.ir_verified;
       tel.jit_cache_hit = ts.cache_hit;
-      // The background compile overlapped execution, so execute_ms keeps
-      // the full wall time — there is no foreground compile to subtract.
-      // compile_ms reports the background compile this run observed
-      // (0 when warm, or when the compile outlived the query).
+      // compile_ms reports the background compile this run observed (0 when
+      // warm, or when the compile outlived the query).
       tel.compile_ms = ts.compile_ms;
-      tel.jit_compile_ms = ts.compile_ms;
-      tel.execute_ms = MsSince(t0);
+      *background_compile = true;
       tel.morsels = ts.morsels_interpreted + ts.morsels_jit;
       tel.threads_used = opts_.num_threads;
       if (ts.morsels_jit == 0) {
@@ -402,9 +395,10 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
     // Unimplemented and fall back to the interpreter below.
     InterpExecutor::ExecStats stats;
     auto result = jit.ExecuteParallel(physical, &stats);
+    // A rejected plan still paid for its aborted codegen attempt.
+    tel.compile_ms = jit.last_compile_ms();
     if (result.ok()) {
       tel.used_jit = true;
-      tel.jit_parallel = true;
       // The served module's tier — 1 normally, 2 when a background
       // promotion already swapped the aggressive module behind this key.
       tel.compile_tier =
@@ -412,26 +406,17 @@ Result<QueryResult> QueryEngine::RunInner(ExecContext& ctx, OpPtr physical, Quer
       tel.ir_verified = jit.last_module() != nullptr && jit.last_module()->ir_verified;
       tel.threads_used = stats.threads_used;
       tel.morsels = stats.morsels;
-      tel.compile_ms = jit.last_compile_ms();
-      tel.jit_compile_ms = jit.last_compile_ms();
       tel.jit_cache_hit = jit.last_cache_hit();
-      tel.execute_ms = MsSince(t0) - tel.compile_ms;
-      ir = jit.last_ir();
+      if (ir != nullptr) *ir = jit.last_ir();
       return result;
     }
     if (result.status().code() != StatusCode::kUnimplemented) {
       return result.status();
     }
     tel.fallback_reason = result.status().message();
-    // The aborted codegen attempt still cost compile time; record it the
-    // way the success path does so fallback runs stop folding it into
-    // execute_ms with compile_ms stuck at 0.
-    tel.compile_ms = jit.last_compile_ms();
-    tel.jit_compile_ms = jit.last_compile_ms();
   }
   InterpExecutor interp(ctx);
   auto result = interp.Execute(physical);
-  tel.execute_ms = MsSince(t0) - tel.compile_ms;
   tel.threads_used = interp.exec_stats().threads_used;
   tel.morsels = interp.exec_stats().morsels;
   return result;

@@ -21,7 +21,6 @@
 #include <string>
 
 #include "src/catalog/catalog.h"
-#include "src/common/mutex.h"
 #include "src/common/task_scheduler.h"
 #include "src/engine/cache.h"
 #include "src/engine/interp.h"
@@ -71,7 +70,7 @@ struct EngineOptions {
   /// share the engine's one instance, so N shards of one plan compile it
   /// exactly once). 0 disables the cache: every execution recompiles, the
   /// pre-cache behavior. Results are identical either way — only compile
-  /// time (QueryTelemetry::jit_compile_ms) changes.
+  /// time (QueryTelemetry::compile_ms) changes.
   size_t jit_cache_capacity = 32;
   /// Tiered execution (opt-in): cold queries start on the morsel-parallel
   /// interpreter immediately while their module compiles on a background
@@ -118,23 +117,29 @@ struct EngineOptions {
   std::function<void(uint64_t)> morsel_boundary_hook;
 };
 
-/// Telemetry for the last executed query.
+/// One query's numbers. The caller owns them: pass CallOptions::telemetry
+/// to receive them. The engine keeps no copy.
 struct QueryTelemetry {
   double optimize_ms = 0;
-  double compile_ms = 0;   ///< LLVM IR generation + compilation (0 on a cache hit)
-  /// Per-execution JIT compile cost: equals compile_ms on a miss, ~0 on a
-  /// compiled-query-cache hit (no IR is generated at all). Sharded runs
-  /// report the summed compile time their shards actually spent — with the
-  /// shared cache that is one compile for all shards, or 0 when warm.
-  double jit_compile_ms = 0;
-  /// The last JIT execution was served by the compiled-query cache without
+  /// Plug-in open of every scanned dataset (structural index and cold-access
+  /// statistics on first touch; a registry probe when warm). Runs once per
+  /// query before any route, so no route bills it to compile or execute.
+  double open_ms = 0;
+  /// JIT compile cost: IR generation + LLVM compilation, 0 on a
+  /// compiled-query-cache hit. A plan the JIT rejects reports its aborted
+  /// attempt. Sharded runs report the compile time their shards spent in
+  /// the shared cache (one compile for all shards, 0 when warm). Tiered
+  /// runs report the background compile the run observed; it overlapped
+  /// execution, so execute_ms does not subtract it.
+  double compile_ms = 0;
+  /// The JIT execution was served by the compiled-query cache without
   /// compiling. Sharded runs report true when every shard was served warm;
   /// always false when the cache is disabled (jit_cache_capacity = 0).
   bool jit_cache_hit = false;
-  /// Plan run time (excludes optimize/compile). Exception: a sharded JIT
-  /// run with the cache *disabled* folds each shard's in-thread compile
-  /// into this number — per-shard compile time is only observable through
-  /// the shared cache's counters.
+  /// Plan run time: the route's wall time minus open_ms and any foreground
+  /// compile_ms. Exception: a sharded JIT run with the cache *disabled*
+  /// folds each shard's in-thread compile into this number — per-shard
+  /// compile time is only observable through the shared cache's counters.
   double execute_ms = 0;
   double cache_build_ms = 0;
   bool used_jit = false;
@@ -194,10 +199,9 @@ struct QueryTelemetry {
 };
 
 /// Per-call knobs for Execute() / ExecutePlan(). All optional; the
-/// parameterless overloads pass the defaults. Concurrent callers sharing one
-/// engine should pass their own `telemetry` (and `ir` if they want it): the
-/// legacy engine-level telemetry()/last_ir() accessors are last-writer-wins
-/// under concurrency and only meaningful for single-caller use.
+/// parameterless overloads pass the defaults. The out-params are the only
+/// way to read a query's telemetry and IR, so concurrent callers sharing one
+/// engine each see exactly their own query.
 struct CallOptions {
   /// Receives this query's telemetry (reset at entry). Per-query scheduler
   /// attribution (tasks_dealt / steals) is exact even with N concurrent
@@ -210,8 +214,9 @@ struct CallOptions {
   /// returns StatusCode::kCancelled with telemetry.cancelled = true. Must
   /// outlive the call. Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Receives the LLVM IR of the query if it JIT-compiled (cleared at
-  /// entry; empty when the interpreter ran or the module came from cache).
+  /// Receives the LLVM IR of the module that served the query (cleared at
+  /// entry). A compiled-query-cache hit exposes the cached module's IR;
+  /// empty when the interpreter ran. Null = the IR text is never copied.
   std::string* ir = nullptr;
 };
 
@@ -237,28 +242,12 @@ class QueryEngine {
   /// query cache, tiered compiler, and the one process-wide TaskScheduler
   /// (so concurrent queries interleave at morsel granularity instead of
   /// queueing whole-query). Pass CallOptions::telemetry to get this query's
-  /// numbers without racing on the engine-level accessor.
+  /// numbers.
   Result<QueryResult> ExecutePlan(OpPtr logical_plan) {
     return ExecutePlan(std::move(logical_plan), CallOptions{});
   }
   Result<QueryResult> ExecutePlan(OpPtr logical_plan, const CallOptions& call);
 
-  /// Telemetry of the most recently completed query (last-writer-wins).
-  /// Single-caller convenience: concurrent callers must pass
-  /// CallOptions::telemetry instead — this snapshot may belong to any of
-  /// them. Do not call while another thread is mid-ExecutePlan if the torn
-  /// read matters; the engine keeps it coherent (mutex-copied), but which
-  /// query it describes is unspecified.
-  QueryTelemetry telemetry() const EXCLUDES(legacy_mu_) {
-    MutexLock lk(legacy_mu_);
-    return telemetry_;
-  }
-  /// LLVM IR of the last JIT-compiled query (empty if interpreter ran).
-  /// Same last-writer-wins caveat as telemetry().
-  std::string last_ir() const EXCLUDES(legacy_mu_) {
-    MutexLock lk(legacy_mu_);
-    return last_ir_;
-  }
   /// Queries currently inside ExecutePlan (also exported as the
   /// proteus_queries_inflight gauge when options().metrics is set).
   int inflight() const { return inflight_.load(std::memory_order_acquire); }
@@ -286,13 +275,15 @@ class QueryEngine {
 
  private:
   Result<QueryResult> ExecutePlanInner(OpPtr logical_plan, const CallOptions& call,
-                                       QueryTelemetry& tel, std::string& ir);
-  Result<QueryResult> Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel,
-                          std::string& ir);
-  Result<QueryResult> RunInner(ExecContext& ctx, OpPtr physical, QueryTelemetry& tel,
-                               std::string& ir);
+                                       QueryTelemetry& tel);
+  Result<QueryResult> Run(OpPtr physical, const CallOptions& call, QueryTelemetry& tel);
+  /// Runs the plan on one route and sets only that route's facts in `tel`;
+  /// Run derives the fields every route shares. `*background_compile` is
+  /// set when compile_ms overlapped execution instead of preceding it.
+  Result<QueryResult> RunInner(ExecContext& ctx, const OpPtr& physical, QueryTelemetry& tel,
+                               std::string* ir, bool* background_compile);
   Status PopulateCaches(const OpPtr& physical);
-  void RecordMetrics(const QueryTelemetry& tel, bool ok) const;
+  void RecordMetrics(const QueryTelemetry& tel, bool ok, double latency_ms) const;
 
   EngineOptions opts_;
   Catalog catalog_;
@@ -314,12 +305,6 @@ class QueryEngine {
   /// auto-Clear (only a sole caller resets the recorder) and feeds the
   /// proteus_queries_inflight gauge.
   std::atomic<int> inflight_{0};
-  /// Guards the legacy single-caller mirrors below. Every query copies its
-  /// telemetry/IR here on completion (last writer wins); per-query truth is
-  /// whatever the caller received through CallOptions.
-  mutable Mutex legacy_mu_;
-  QueryTelemetry telemetry_ GUARDED_BY(legacy_mu_);
-  std::string last_ir_ GUARDED_BY(legacy_mu_);
 };
 
 }  // namespace proteus

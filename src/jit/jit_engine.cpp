@@ -607,20 +607,10 @@ Result<CgValue> Codegen::EmitExpr(const ExprPtr& e) {
       PROTEUS_ASSIGN_OR_RETURN(CgValue t, EmitExpr(e->child(1)));
       PROTEUS_ASSIGN_OR_RETURN(CgValue f, EmitExpr(e->child(2)));
       if (t.kind != f.kind) {
-        // Widen int/float branch mismatches to double the way the
-        // arithmetic path does. Other mixes (bool vs numeric, string vs
-        // anything) are rejected by the type checker before either engine
-        // runs, so bailing here keeps the JIT exactly as reachable as the
-        // interpreter — widening them would diverge from Eval(), which
-        // returns the raw branch cell.
-        auto numeric = [](TypeKind k) {
-          return k == TypeKind::kInt64 || k == TypeKind::kFloat64;
-        };
-        if (!numeric(t.kind) || !numeric(f.kind)) {
-          return Status::Unimplemented("jit: if branches of mixed kinds");
-        }
-        t = CgValue{TypeKind::kFloat64, ToDouble(t), nullptr, t.null};
-        f = CgValue{TypeKind::kFloat64, ToDouble(f), nullptr, f.null};
+        // Eval() returns the raw branch cell, so the result's kind depends
+        // on the row; one emitted kind cannot match it. The interpreter
+        // serves such plans.
+        return Status::Unimplemented("jit: if branches of mixed kinds");
       }
       llvm::Value* cond = Truthy(c);  // Eval: a null condition picks else
       CgValue out{t.kind, b_.CreateSelect(cond, t.v, f.v)};

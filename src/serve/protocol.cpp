@@ -16,8 +16,8 @@ namespace {
 // bump, not a silent skew between encoder and decoder.
 void PutTelemetry(WireWriter* w, const QueryTelemetry& t) {
   w->PutF64(t.optimize_ms);
+  w->PutF64(t.open_ms);
   w->PutF64(t.compile_ms);
-  w->PutF64(t.jit_compile_ms);
   w->PutBool(t.jit_cache_hit);
   w->PutF64(t.execute_ms);
   w->PutF64(t.cache_build_ms);
@@ -43,8 +43,8 @@ void PutTelemetry(WireWriter* w, const QueryTelemetry& t) {
 Result<QueryTelemetry> GetTelemetry(WireReader* r) {
   QueryTelemetry t;
   PROTEUS_ASSIGN_OR_RETURN(t.optimize_ms, r->F64());
+  PROTEUS_ASSIGN_OR_RETURN(t.open_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.compile_ms, r->F64());
-  PROTEUS_ASSIGN_OR_RETURN(t.jit_compile_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.jit_cache_hit, r->Bool());
   PROTEUS_ASSIGN_OR_RETURN(t.execute_ms, r->F64());
   PROTEUS_ASSIGN_OR_RETURN(t.cache_build_ms, r->F64());

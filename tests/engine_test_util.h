@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <type_traits>
 
 #include "src/calculus/calculus.h"
 #include "src/core/query_engine.h"
@@ -261,6 +262,32 @@ inline void RegisterNestCorpus(QueryEngine* engine) {
   reg("nest_json", DataFormat::kJSON, "nest.json");
 }
 
+/// One query as its caller sees it: the result, plus the telemetry and IR
+/// the engine returned through CallOptions for this query alone.
+struct QueryRun {
+  Result<QueryResult> result;
+  QueryTelemetry tel;
+  std::string ir;
+};
+
+/// Executes `query` (SQL text or a logical plan) on `engine`.
+template <typename Query>
+QueryRun RunQuery(QueryEngine* engine, Query query) {
+  QueryTelemetry tel;
+  std::string ir;
+  CallOptions call;
+  call.telemetry = &tel;
+  call.ir = &ir;
+  Result<QueryResult> r = [&] {
+    if constexpr (std::is_same_v<Query, OpPtr>) {
+      return engine->ExecutePlan(std::move(query), call);
+    } else {
+      return engine->Execute(query, call);
+    }
+  }();
+  return {std::move(r), std::move(tel), std::move(ir)};
+}
+
 /// Cell-for-cell identity down to float bits: unlike Value::Equals, -0.0
 /// differs from +0.0 and a NaN equals a NaN with the same bits.
 inline void ExpectBitIdentical(const QueryResult& a, const QueryResult& b,
@@ -295,15 +322,21 @@ inline OpPtr PhysicalPlan(QueryEngine* engine, OpPtr logical) {
   return physical.ok() ? *physical : nullptr;
 }
 
-/// The physical plan QueryEngine::Execute(sql) runs on `engine`.
-inline OpPtr PhysicalPlan(QueryEngine* engine, const std::string& sql) {
+/// The logical plan QueryEngine::Execute(sql) hands to ExecutePlan.
+inline OpPtr LogicalPlan(QueryEngine* engine, const std::string& sql) {
   auto comp = ParseQuery(sql, engine->catalog());
   EXPECT_TRUE(comp.ok()) << sql << "\n" << comp.status().ToString();
   if (!comp.ok()) return nullptr;
   Normalize(&*comp);
   auto logical = ToAlgebra(*comp, engine->catalog());
   EXPECT_TRUE(logical.ok()) << sql << "\n" << logical.status().ToString();
-  return logical.ok() ? PhysicalPlan(engine, *logical) : nullptr;
+  return logical.ok() ? *logical : nullptr;
+}
+
+/// The physical plan QueryEngine::Execute(sql) runs on `engine`.
+inline OpPtr PhysicalPlan(QueryEngine* engine, const std::string& sql) {
+  OpPtr logical = LogicalPlan(engine, sql);
+  return logical != nullptr ? PhysicalPlan(engine, logical) : nullptr;
 }
 
 /// The execution context `engine` hands its executors (no trace, tiered
@@ -346,18 +379,18 @@ inline std::shared_ptr<const jit::CompiledModule> InstallModuleAt(QueryEngine* e
 /// Tier 1 compiles the small test corpora at CodeGenOpt::None. This runs
 /// `sql` on `engine` (JIT mode) with its module installed at `level`
 /// instead, so the other tier-1 machine code stays covered, and expects the
-/// installed module to serve a result bit-identical to `oracle`.
+/// installed module to serve a result bit-identical to `oracle`. `tel`
+/// (optional) receives the telemetry of that run.
 inline void ExpectInstalledLevelMatches(QueryEngine* engine, const std::string& sql,
                                         jit::CodegenLevel level, const QueryResult& oracle,
-                                        const std::string& ctx) {
+                                        const std::string& ctx, QueryTelemetry* tel = nullptr) {
   ASSERT_NE(InstallModuleAt(engine, sql, level), nullptr) << ctx;
-  QueryTelemetry tel;
-  CallOptions call;
-  call.telemetry = &tel;
-  auto r = engine->Execute(sql, call);
-  ASSERT_TRUE(r.ok()) << ctx << "\n" << r.status().ToString();
-  EXPECT_TRUE(tel.used_jit && tel.jit_cache_hit) << ctx << ": the installed module must serve";
-  ExpectBitIdentical(oracle, *r, ctx);
+  QueryRun run = RunQuery(engine, sql);
+  if (tel != nullptr) *tel = run.tel;
+  ASSERT_TRUE(run.result.ok()) << ctx << "\n" << run.result.status().ToString();
+  EXPECT_TRUE(run.tel.used_jit && run.tel.jit_cache_hit)
+      << ctx << ": the installed module must serve";
+  ExpectBitIdentical(oracle, *run.result, ctx);
 }
 
 }  // namespace testutil

@@ -24,16 +24,15 @@ class CachingTest : public ::testing::Test {
 
 TEST_F(CachingTest, FirstQueryBuildsCacheSecondUsesIt) {
   std::string q = "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30";
-  auto r1 = engine_->Execute(q);
-  ASSERT_TRUE(r1.ok());
+  auto r1 = testutil::RunQuery(engine_.get(), q);
+  ASSERT_TRUE(r1.result.ok());
   EXPECT_GT(engine_->caches().num_blocks(), 0u);
-  double first_build = engine_->telemetry().cache_build_ms;
-  EXPECT_GT(first_build, 0.0);
+  EXPECT_GT(r1.tel.cache_build_ms, 0.0);
 
-  auto r2 = engine_->Execute(q);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
-  EXPECT_TRUE(r1->EqualsUnordered(*r2));
+  auto r2 = testutil::RunQuery(engine_.get(), q);
+  ASSERT_TRUE(r2.result.ok());
+  EXPECT_TRUE(r2.tel.used_cache);
+  EXPECT_TRUE(r1.result->EqualsUnordered(*r2.result));
 }
 
 TEST_F(CachingTest, CacheSharedAcrossDifferentQueriesOnSameFields) {
@@ -41,9 +40,10 @@ TEST_F(CachingTest, CacheSharedAcrossDifferentQueriesOnSameFields) {
                   .ok());
   size_t blocks = engine_->caches().num_blocks();
   // Different predicate, same fields: full sub-tree scan match applies.
-  auto r = engine_->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 50");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  auto r = testutil::RunQuery(engine_.get(),
+                              "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 50");
+  ASSERT_TRUE(r.result.ok());
+  EXPECT_TRUE(r.tel.used_cache);
   EXPECT_EQ(engine_->caches().num_blocks(), blocks);  // no new block
 }
 
@@ -55,11 +55,11 @@ TEST_F(CachingTest, WiderFieldSetReplacesNarrowBlock) {
   auto r = engine_->Execute(
       "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30");
   ASSERT_TRUE(r.ok());
-  auto r2 = engine_->Execute(
-      "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30");
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
-  EXPECT_NEAR(r->scalar().AsFloat(), r2->scalar().AsFloat(), 1e-9);
+  auto r2 = testutil::RunQuery(
+      engine_.get(), "SELECT max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30");
+  ASSERT_TRUE(r2.result.ok());
+  EXPECT_TRUE(r2.tel.used_cache);
+  EXPECT_NEAR(r->scalar().AsFloat(), r2.result->scalar().AsFloat(), 1e-9);
 }
 
 TEST_F(CachingTest, StringPredicateUsesHybridOidReads) {
@@ -68,15 +68,15 @@ TEST_F(CachingTest, StringPredicateUsesHybridOidReads) {
   std::string q = "SELECT count(*) FROM lineitem_json WHERE l_shipmode = 'AIR'";
   auto r1 = engine_->Execute(q);
   ASSERT_TRUE(r1.ok());
-  auto r2 = engine_->Execute(q);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(engine_->telemetry().used_cache);
+  auto r2 = testutil::RunQuery(engine_.get(), q);
+  ASSERT_TRUE(r2.result.ok());
+  EXPECT_TRUE(r2.tel.used_cache);
   int64_t expected = 0;
   for (const auto& row : Corpus::Get().lineitem.rows()) {
     if (row[6].s() == "AIR") ++expected;
   }
   EXPECT_EQ(r1->scalar().i(), expected);
-  EXPECT_EQ(r2->scalar().i(), expected);
+  EXPECT_EQ(r2.result->scalar().i(), expected);
 }
 
 TEST_F(CachingTest, InvalidationDropsCachesAndRecovers) {

@@ -231,12 +231,14 @@ TEST_P(EngineTest, ErrorsSurfaceCleanly) {
 }
 
 TEST_P(EngineTest, TelemetryReportsEngineChoice) {
-  MustRun("SELECT count(*) FROM lineitem_bincol WHERE l_orderkey < 20");
-  const QueryTelemetry& t = engine_->telemetry();
+  auto run = testutil::RunQuery(engine_.get(),
+                                "SELECT count(*) FROM lineitem_bincol WHERE l_orderkey < 20");
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  const QueryTelemetry& t = run.tel;
   if (GetParam() == ExecMode::kJIT) {
     EXPECT_TRUE(t.used_jit) << t.fallback_reason;
     EXPECT_GT(t.compile_ms, 0.0);
-    EXPECT_FALSE(engine_->last_ir().empty());
+    EXPECT_FALSE(run.ir.empty());
   } else {
     EXPECT_FALSE(t.used_jit);
   }

@@ -41,10 +41,10 @@ QueryResult RunMode(const std::string& q, ExecMode mode, bool* used_jit) {
   opts.mode = mode;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute(q);
-  EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
-  if (used_jit != nullptr) *used_jit = engine.telemetry().used_jit;
-  return r.ok() ? *r : QueryResult{};
+  auto run = testutil::RunQuery(&engine, q);
+  EXPECT_TRUE(run.result.ok()) << q << "\n" << run.result.status().ToString();
+  if (used_jit != nullptr) *used_jit = run.tel.used_jit;
+  return run.result.ok() ? *run.result : QueryResult{};
 }
 
 /// One engine run with full telemetry, at a given thread/shard fan-out.
@@ -54,6 +54,14 @@ struct RunInfo {
   Status status = Status::OK();
 };
 
+RunInfo Info(testutil::QueryRun run) {
+  RunInfo info;
+  info.status = run.result.status();
+  if (run.result.ok()) info.result = std::move(*run.result);
+  info.telemetry = std::move(run.tel);
+  return info;
+}
+
 RunInfo RunConfig(const std::string& q, ExecMode mode, int threads, int shards = 0) {
   EngineOptions opts;
   opts.mode = mode;
@@ -62,12 +70,7 @@ RunInfo RunConfig(const std::string& q, ExecMode mode, int threads, int shards =
   opts.morsel_rows = kDiffMorselRows;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute(q);
-  RunInfo info;
-  info.status = r.status();
-  if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
-  return info;
+  return Info(testutil::RunQuery(&engine, q));
 }
 
 RunInfo RunPlanConfig(const std::function<OpPtr()>& make_plan, ExecMode mode, int threads) {
@@ -77,12 +80,7 @@ RunInfo RunPlanConfig(const std::function<OpPtr()>& make_plan, ExecMode mode, in
   opts.morsel_rows = kDiffMorselRows;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.ExecutePlan(make_plan());
-  RunInfo info;
-  info.status = r.status();
-  if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
-  return info;
+  return Info(testutil::RunQuery(&engine, make_plan()));
 }
 
 /// Cell-for-cell equality: same columns, same row order, exact values
@@ -213,9 +211,10 @@ TEST(JitEquivRandom, CachedRunsMatchUncached) {
       "SELECT count(*), max(l_quantity) FROM lineitem_json WHERE l_orderkey < 30";
   auto first = cached.Execute(q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = cached.Execute(q);
+  auto second_run = testutil::RunQuery(&cached, q);
+  auto& second = second_run.result;
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(cached.telemetry().used_cache);
+  EXPECT_TRUE(second_run.tel.used_cache);
 
   QueryResult oracle = RunMode(q, ExecMode::kInterp, nullptr);
   EXPECT_TRUE(first->EqualsUnordered(oracle, 1e-6));
@@ -318,23 +317,39 @@ std::vector<DiffCase> DiffCases() {
                      "yield set <key: l.l_orderkey, n: l.l_linenumber>"});
   }
   cases.push_back({"set_str", "for { l <- lineitem_csv } yield set l.l_shipmode"});
-  // Mixed-kind if-branches (int vs float) widen like the arithmetic path
-  // instead of bailing — pinned against the interpreter in scalar, bag, and
-  // extreme positions.
-  cases.push_back({"if_mixed_sum",
-                   "SELECT sum(if l_quantity > 25.0 then l_extendedprice else 0), count(*) "
-                   "FROM lineitem_bincol WHERE l_orderkey < 40"});
-  cases.push_back({"if_mixed_rows",
-                   "SELECT l_orderkey, if l_quantity > 25.0 then l_extendedprice else 0 "
-                   "FROM lineitem_json WHERE l_orderkey < 15"});
-  cases.push_back({"if_mixed_minmax",
-                   "SELECT min(if l_quantity > 25.0 then l_extendedprice else 1), "
-                   "max(if l_discount < 0.05 then 0 else l_tax) FROM lineitem_csv"});
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, JitDifferentialTest, ::testing::ValuesIn(DiffCases()),
                          [](const auto& info) { return info.param.name; });
+
+// An if whose branches differ in kind (int vs float) yields the kind of the
+// branch each row takes, so one generated kind cannot match it. The JIT
+// rejects the plan and the interpreter answers with its own kinds — in
+// scalar, bag, and extreme positions alike.
+TEST(JitMixedIf, FallsBackToTheInterpretersKinds) {
+  const std::string queries[] = {
+      "SELECT sum(if l_quantity > 25.0 then l_extendedprice else 0), count(*) "
+      "FROM lineitem_bincol WHERE l_orderkey < 40",
+      "SELECT l_orderkey, if l_quantity > 25.0 then l_extendedprice else 0 "
+      "FROM lineitem_json WHERE l_orderkey < 15",
+      "SELECT min(if l_quantity > 25.0 then l_extendedprice else 1), "
+      "max(if l_discount < 0.05 then 0 else l_tax) FROM lineitem_csv"};
+  for (const std::string& q : queries) {
+    RunInfo oracle = RunConfig(q, ExecMode::kInterp, 1);
+    ASSERT_TRUE(oracle.status.ok()) << q << "\n" << oracle.status.ToString();
+    for (int threads : {1, 4}) {
+      const std::string ctx = q + " @ jit threads=" + std::to_string(threads);
+      RunInfo jit = RunConfig(q, ExecMode::kJIT, threads);
+      ASSERT_TRUE(jit.status.ok()) << ctx << "\n" << jit.status.ToString();
+      testutil::ExpectBitIdentical(oracle.result, jit.result, ctx);
+      EXPECT_FALSE(jit.telemetry.used_jit) << ctx;
+      EXPECT_NE(jit.telemetry.fallback_reason.find("if branches of mixed kinds"),
+                std::string::npos)
+          << ctx << ": " << jit.telemetry.fallback_reason;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Outer joins, outer unnest, and set outputs now run through generated code:
@@ -429,12 +444,7 @@ RunInfo RunOuterPlan(const std::function<OpPtr()>& make_plan, ExecMode mode, int
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
   RegisterOuterCorpus(&engine);
-  auto r = engine.ExecutePlan(make_plan());
-  RunInfo info;
-  info.status = r.status();
-  if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
-  return info;
+  return Info(testutil::RunQuery(&engine, make_plan()));
 }
 
 /// Oracle vs generated code across thread counts, with the generated engine
@@ -608,16 +618,16 @@ TEST(JitOuterJoin, WarmCacheStaysCellIdentical) {
                                {Proj("o", "o_orderkey"), Proj("l", "l_quantity")});
     return Operator::Reduce(WidowOuterJoin("lineitem_json"), {{Monoid::kBag, rec, "rows"}});
   };
-  auto cold = engine.ExecutePlan(make_plan());
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  auto warm = engine.ExecutePlan(make_plan());
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
-  EXPECT_EQ(engine.telemetry().jit_compile_ms, 0.0);
-  ExpectIdentical(*cold, *warm, "outer join cold vs warm cache");
+  auto cold = testutil::RunQuery(&engine, make_plan());
+  ASSERT_TRUE(cold.result.ok()) << cold.result.status().ToString();
+  EXPECT_TRUE(cold.tel.used_jit) << cold.tel.fallback_reason;
+  EXPECT_FALSE(cold.tel.jit_cache_hit);
+  auto warm = testutil::RunQuery(&engine, make_plan());
+  ASSERT_TRUE(warm.result.ok()) << warm.result.status().ToString();
+  EXPECT_TRUE(warm.tel.used_jit);
+  EXPECT_TRUE(warm.tel.jit_cache_hit);
+  EXPECT_EQ(warm.tel.compile_ms, 0.0);
+  ExpectIdentical(*cold.result, *warm.result, "outer join cold vs warm cache");
 }
 
 TEST(JitOuterJoin, ShardedEnginesDeclineButStillRunJit) {
@@ -634,11 +644,11 @@ TEST(JitOuterJoin, ShardedEnginesDeclineButStillRunJit) {
   RegisterOuterCorpus(&engine);
   OpPtr plan = Operator::Reduce(WidowOuterJoin("lineitem_json"),
                                 {{Monoid::kCount, nullptr, "n"}});
-  auto r = engine.ExecutePlan(std::move(plan));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine.telemetry().shards_used, 0);
-  EXPECT_TRUE(engine.telemetry().used_jit) << engine.telemetry().fallback_reason;
-  EXPECT_TRUE(engine.telemetry().jit_parallel);
+  auto r = testutil::RunQuery(&engine, std::move(plan));
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  EXPECT_EQ(r.tel.shards_used, 0);
+  EXPECT_TRUE(r.tel.used_jit) << r.tel.fallback_reason;
+  EXPECT_TRUE(r.tel.jit_parallel);
 }
 
 TEST(JitSetOutput, LegacyWholeRelationModeDeduplicates) {
@@ -669,7 +679,7 @@ TEST(JitSetOutput, LegacyWholeRelationModeDeduplicates) {
 
 // ---------------------------------------------------------------------------
 // Telemetry (headline bugfix): a JIT→interpreter fallback must record the
-// failed codegen attempt's cost in compile_ms / jit_compile_ms and keep it
+// failed codegen attempt's cost in compile_ms and keep it
 // out of execute_ms — previously the attempt was silently folded into
 // execute_ms with compile_ms stuck at 0.
 // ---------------------------------------------------------------------------
@@ -692,7 +702,6 @@ TEST(JitFallbackTelemetry, FailedCompileAttemptIsRecorded) {
   EXPECT_FALSE(jit.telemetry.fallback_reason.empty());
   EXPECT_GT(jit.telemetry.compile_ms, 0.0)
       << "the aborted codegen attempt cost real time that must be attributed";
-  EXPECT_EQ(jit.telemetry.jit_compile_ms, jit.telemetry.compile_ms);
   EXPECT_GE(jit.telemetry.execute_ms, 0.0);
   // Against the same plan in interpreter mode the fallback stays correct.
   RunInfo interp = RunPlanConfig(make_plan, ExecMode::kInterp, 2);
@@ -863,12 +872,7 @@ std::unique_ptr<QueryEngine> MakeTieredEngine(const jit::TieredOptions& topts, i
 /// One Execute() on a caller-owned engine (tiered tests rerun the same
 /// engine to exercise the shared cache and the background compiler).
 RunInfo RunOn(QueryEngine* engine, const std::string& q) {
-  auto r = engine->Execute(q);
-  RunInfo info;
-  info.status = r.status();
-  if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine->telemetry();
-  return info;
+  return Info(testutil::RunQuery(engine, q));
 }
 
 TEST(TieredSwap, ForcedSwapBoundaryIsInvisible) {
@@ -905,7 +909,6 @@ TEST(TieredSwap, ForcedSwapBoundaryIsInvisible) {
     EXPECT_GT(tiered.telemetry.swap_ms, 0.0) << "swap happened, swap_ms must say when";
     EXPECT_GT(tiered.telemetry.compile_ms, 0.0)
         << "the consumed background compile cost real time";
-    EXPECT_EQ(tiered.telemetry.jit_compile_ms, tiered.telemetry.compile_ms);
     if (k > 0) {
       // The acceptance shape: a genuinely mixed run — both engines ran.
       EXPECT_GT(tiered.telemetry.morsels_interpreted, 0u);
@@ -1021,10 +1024,10 @@ TEST(TieredSwap, FailedCompileInterpreterCompletesSilently) {
   // the failure is observed mid-query, not raced past.
   topts.force_swap_after_morsels = 1;
   auto engine = MakeTieredEngine(topts, /*threads=*/2);
-  auto r = engine->ExecutePlan(make_plan());
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectIdentical(oracle.result, *r, "tiered, failed compile");
-  const QueryTelemetry& t = engine->telemetry();
+  auto r = testutil::RunQuery(engine.get(), make_plan());
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  ExpectIdentical(oracle.result, *r.result, "tiered, failed compile");
+  const QueryTelemetry& t = r.tel;
   EXPECT_EQ(t.morsels_jit, 0u);
   EXPECT_GT(t.morsels_interpreted, 0u);
   EXPECT_EQ(t.compile_tier, 0);
@@ -1099,12 +1102,7 @@ RunInfo RunSkewQuery(const std::string& q, ExecMode mode, int threads,
     auto w = engine.Execute(q);
     EXPECT_TRUE(w.ok()) << w.status().ToString();
   }
-  auto r = engine.Execute(q);
-  RunInfo info;
-  info.status = r.status();
-  if (r.ok()) info.result = std::move(*r);
-  info.telemetry = engine.telemetry();
-  return info;
+  return Info(testutil::RunQuery(&engine, q));
 }
 
 const char* kZipfJoinQuery =
@@ -1275,7 +1273,11 @@ TEST(JitFallbackTelemetry, AllFallbackReasonsReported) {
 // across a tiered hot-swap, bit-identical to the 1-thread interpreter.
 // ---------------------------------------------------------------------------
 
-using EngineRun = std::function<Result<QueryResult>(QueryEngine*)>;
+using EngineRun = std::function<Result<QueryResult>(QueryEngine*, const CallOptions&)>;
+
+EngineRun SqlRun(const std::string& sql) {
+  return [sql](QueryEngine* e, const CallOptions& call) { return e->Execute(sql, call); };
+}
 
 struct NestRun {
   RunInfo info;
@@ -1300,12 +1302,13 @@ NestRun RunNestCase(const EngineRun& run, ExecMode mode, int threads, int shards
   testutil::RegisterAll(&engine);
   RegisterOuterCorpus(&engine);
   testutil::RegisterNestCorpus(&engine);
-  auto r = run(&engine);
   NestRun out;
+  CallOptions call;
+  call.telemetry = &out.info.telemetry;
+  call.ir = &out.ir;
+  auto r = run(&engine, call);
   out.info.status = r.status();
   if (r.ok()) out.info.result = std::move(*r);
-  out.info.telemetry = engine.telemetry();
-  out.ir = engine.last_ir();
   return out;
 }
 
@@ -1372,15 +1375,12 @@ TEST(TypedNest, GroupKeyEdgeCasesBitIdentical) {
       "WHERE day > 2 GROUP BY flag",
   };
   for (const auto& q : queries) {
-    ExpectTypedNestMatches([&](QueryEngine* e) { return e->Execute(q); }, q);
+    ExpectTypedNestMatches(SqlRun(q), q);
   }
   {
     // The corpus really puts a NaN first in some day groups.
-    NestRun oracle = RunNestCase(
-        [](QueryEngine* e) {
-          return e->Execute("SELECT day, max(fk) FROM nest_bincol GROUP BY day");
-        },
-        ExecMode::kInterp, 1);
+    NestRun oracle = RunNestCase(SqlRun("SELECT day, max(fk) FROM nest_bincol GROUP BY day"),
+                                 ExecMode::kInterp, 1);
     ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
     size_t nan_max = 0;
     for (const auto& row : oracle.info.result.rows) nan_max += std::isnan(row[1].f()) ? 1 : 0;
@@ -1388,11 +1388,8 @@ TEST(TypedNest, GroupKeyEdgeCasesBitIdentical) {
   }
   // The corpus really exercises the float-key rules: 4 non-NaN keys plus
   // one group per NaN row (2 of every 9 rows), keyed -0.0 first.
-  NestRun r = RunNestCase(
-      [](QueryEngine* e) {
-        return e->Execute("SELECT fk, count(*) FROM nest_bincol GROUP BY fk");
-      },
-      ExecMode::kJIT, 4);
+  NestRun r =
+      RunNestCase(SqlRun("SELECT fk, count(*) FROM nest_bincol GROUP BY fk"), ExecMode::kJIT, 4);
   ASSERT_TRUE(r.info.status.ok()) << r.info.status.ToString();
   size_t nan_groups = 0;
   for (const auto& row : r.info.result.rows) nan_groups += std::isnan(row[0].f()) ? 1 : 0;
@@ -1422,7 +1419,7 @@ TEST(TypedNest, ScalarMinMaxFollowAggregatorAdd) {
        [](const QueryResult& r) { EXPECT_EQ(r.rows[0][0].i(), 9007199254740992 + 5); }},
   };
   for (const auto& c : cases) {
-    auto run = [&](QueryEngine* e) { return e->Execute(c.sql); };
+    const EngineRun run = SqlRun(c.sql);
     NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
     ASSERT_TRUE(oracle.info.status.ok()) << c.sql << "\n" << oracle.info.status.ToString();
     ASSERT_EQ(oracle.info.result.rows.size(), 1u) << c.sql;
@@ -1459,11 +1456,11 @@ TEST(TypedNest, NullKeysAndAllNullGroupsBitIdentical) {
          Proj("g", "mins"), Proj("g", "maxc")});
     return Operator::Reduce(nest, {{Monoid::kBag, rec, "rows"}});
   };
-  auto by_element = [&](QueryEngine* e) {
-    return e->ExecutePlan(grouped(unnest(), Proj("l", "l_shipmode")));
+  auto by_element = [&](QueryEngine* e, const CallOptions& call) {
+    return e->ExecutePlan(grouped(unnest(), Proj("l", "l_shipmode")), call);
   };
-  auto by_order = [&](QueryEngine* e) {
-    return e->ExecutePlan(grouped(unnest(), Proj("o", "o_orderkey")));
+  auto by_order = [&](QueryEngine* e, const CallOptions& call) {
+    return e->ExecutePlan(grouped(unnest(), Proj("o", "o_orderkey")), call);
   };
   ExpectTypedNestMatches(by_element, "outer unnest, null element key");
   ExpectTypedNestMatches(by_order, "outer unnest, all-null groups");
@@ -1483,8 +1480,10 @@ TEST(TypedNest, NullKeysAndAllNullGroupsBitIdentical) {
   // Outer-join drains (unshardable: the 2-shard run declines to one
   // engine) group on a probe-side field too.
   ExpectTypedNestMatches(
-      [&](QueryEngine* e) { return e->ExecutePlan(grouped(WidowOuterJoin("lineitem_json"),
-                                                          Proj("l", "l_shipmode"))); },
+      [&](QueryEngine* e, const CallOptions& call) {
+        return e->ExecutePlan(grouped(WidowOuterJoin("lineitem_json"), Proj("l", "l_shipmode")),
+                              call);
+      },
       "outer join drain, null key", /*outer_join=*/true);
 }
 
@@ -1508,7 +1507,7 @@ const char* LevelName(jit::CodegenLevel level) {
 /// over every morsel of the plan's decomposition folded through
 /// FinalizePlanPartials.
 EngineRun CompiledAt(std::function<OpPtr(QueryEngine*)> physical, jit::CodegenLevel level) {
-  return [physical, level](QueryEngine* e) -> Result<QueryResult> {
+  return [physical, level](QueryEngine* e, const CallOptions&) -> Result<QueryResult> {
     OpPtr plan = physical(e);
     if (plan == nullptr) return Status::InvalidArgument("no plan");
     const ExecContext ctx = testutil::ContextOf(e);
@@ -1547,11 +1546,7 @@ void ExpectBothLevelsMatch(const NestRun& oracle,
 
 TEST(CompiledLevels, MorselPlansBitIdenticalAtBothTierOneLevels) {
   std::vector<std::string> queries;
-  for (const DiffCase& c : DiffCases()) {
-    // Mixed int/float if-branches widen to float in generated code, so they
-    // match the interpreter by value, not by kind; the matrix covers them.
-    if (c.name.rfind("if_mixed", 0) != 0) queries.push_back(c.query);
-  }
+  for (const DiffCase& c : DiffCases()) queries.push_back(c.query);
   for (const char* ds : {"nest_bincol", "nest_csv", "nest_json"}) {
     const std::string d(ds);
     queries.push_back("SELECT fk, count(*), sum(v), max(v), min(fk) FROM " + d + " GROUP BY fk");
@@ -1566,8 +1561,7 @@ TEST(CompiledLevels, MorselPlansBitIdenticalAtBothTierOneLevels) {
   queries.push_back("SELECT min(flag) FROM nest_csv");
   queries.push_back("SELECT max(flag), min(flag) FROM nest_json");
   for (const std::string& q : queries) {
-    NestRun oracle =
-        RunNestCase([&](QueryEngine* e) { return e->Execute(q); }, ExecMode::kInterp, 1);
+    NestRun oracle = RunNestCase(SqlRun(q), ExecMode::kInterp, 1);
     ExpectBothLevelsMatch(oracle, SqlPlan(q), q);
   }
 }
@@ -1579,8 +1573,7 @@ TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
     const std::string q = std::string("SELECT max(v), min(fk), max(day), min(day), sum(v), "
                                       "sum(day), count(*) FROM ") +
                           ds + " WHERE day < 0";
-    NestRun oracle =
-        RunNestCase([&](QueryEngine* e) { return e->Execute(q); }, ExecMode::kInterp, 1);
+    NestRun oracle = RunNestCase(SqlRun(q), ExecMode::kInterp, 1);
     ASSERT_TRUE(oracle.info.status.ok()) << q << "\n" << oracle.info.status.ToString();
     ASSERT_EQ(oracle.info.result.rows.size(), 1u) << q;
     EXPECT_TRUE(oracle.info.result.rows[0][0].is_null()) << q;
@@ -1603,8 +1596,9 @@ TEST(CompiledLevels, WholeRelationExtremesWithNoRowAreNull) {
                                 Proj("g", "minl")});
     return Operator::Reduce(nest, {{Monoid::kBag, rec, "rows"}});
   };
-  NestRun oracle =
-      RunNestCase([&](QueryEngine* e) { return e->ExecutePlan(grouped()); }, ExecMode::kInterp, 1);
+  NestRun oracle = RunNestCase(
+      [&](QueryEngine* e, const CallOptions& call) { return e->ExecutePlan(grouped(), call); },
+      ExecMode::kInterp, 1);
   ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
   size_t null_max = 0;
   for (const auto& row : oracle.info.result.rows) null_max += row[2].is_null() ? 1 : 0;
@@ -1631,7 +1625,9 @@ TEST(JitMidPlanNest, SelectOverNestMatchesTheInterpreterBitForBit) {
     ExprPtr rec = Expr::Record({"k", "sump"}, {Proj("g", "k"), Proj("g", "sump")});
     return Operator::Reduce(sel, {{Monoid::kBag, rec, "rows"}});
   };
-  const EngineRun run = [&](QueryEngine* e) { return e->ExecutePlan(plan()); };
+  const EngineRun run = [&](QueryEngine* e, const CallOptions& call) {
+    return e->ExecutePlan(plan(), call);
+  };
   NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
   ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
   size_t int_sums = 0;
@@ -1658,7 +1654,9 @@ TEST(JitMidPlanNest, NestInJoinBuildSideFinishesOnTheInterpreterOnEveryRoute) {
     return Operator::Reduce(join, {{Monoid::kCount, nullptr, "orders"},
                                    {Monoid::kSum, Proj("g", "n"), "lines"}});
   };
-  const EngineRun run = [&](QueryEngine* e) { return e->ExecutePlan(plan()); };
+  const EngineRun run = [&](QueryEngine* e, const CallOptions& call) {
+    return e->ExecutePlan(plan(), call);
+  };
   NestRun oracle = RunNestCase(run, ExecMode::kInterp, 1);
   ASSERT_TRUE(oracle.info.status.ok()) << oracle.info.status.ToString();
   ASSERT_EQ(oracle.info.result.rows.size(), 1u);

@@ -11,6 +11,7 @@
 // TSan CI job sees the real interleavings.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -496,11 +497,11 @@ TEST(EngineTrace, TieredShardedTraceShowsTheFullStory) {
   opts.morsel_rows = kTestMorselRows;
   opts.tiered_opts.force_swap_after_morsels = 1;
   auto engine = MakeEngine(opts);
-  auto r = engine->Execute(kAggQuery);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(engine->telemetry().shards_used, 2);
-  ASSERT_GT(engine->telemetry().morsels_jit, 0u);
-  ASSERT_GT(engine->telemetry().morsels_interpreted, 0u);
+  auto r = testutil::RunQuery(engine.get(), kAggQuery);
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  ASSERT_EQ(r.tel.shards_used, 2);
+  ASSERT_GT(r.tel.morsels_jit, 0u);
+  ASSERT_GT(r.tel.morsels_interpreted, 0u);
 
   obs::QueryTrace t = engine->trace()->Snapshot();
   EXPECT_TRUE(t.HasSpan("cache_probe"));
@@ -572,17 +573,132 @@ TEST(EngineTelemetry, StealCountersFoldAcrossShards) {
   opts.num_threads = 2;
   opts.morsel_rows = kTestMorselRows;
   auto engine = MakeEngine(opts);
-  ASSERT_TRUE(engine->Execute(kAggQuery).ok());
+  auto run = testutil::RunQuery(engine.get(), kAggQuery);
+  ASSERT_TRUE(run.result.ok());
   // The 2-worker run dealt at least one task per morsel batch; steals are
   // scheduling-dependent, but dealt is deterministic and non-zero.
-  EXPECT_GT(engine->telemetry().tasks_dealt, 0u);
+  EXPECT_GT(run.tel.tasks_dealt, 0u);
 
   EngineOptions sharded = opts;
   sharded.num_shards = 2;
   auto se = MakeEngine(sharded);
-  ASSERT_TRUE(se->Execute(kAggQuery).ok());
-  ASSERT_EQ(se->telemetry().shards_used, 2);
-  EXPECT_GT(se->telemetry().tasks_dealt, 0u);
+  auto sharded_run = testutil::RunQuery(se.get(), kAggQuery);
+  ASSERT_TRUE(sharded_run.result.ok());
+  ASSERT_EQ(sharded_run.tel.shards_used, 2);
+  EXPECT_GT(sharded_run.tel.tasks_dealt, 0u);
+}
+
+// A cold JIT query opens its plug-ins before codegen: the structural index
+// and the statistics pass land in open_ms, and no span of the open lies
+// inside the compile.
+TEST(EngineTrace, ColdOpenLiesOutsideTheCompile) {
+  EngineOptions opts;
+  opts.trace = true;
+  opts.morsel_rows = kTestMorselRows;
+  auto engine = MakeEngine(opts);
+  auto run = testutil::RunQuery(engine.get(), kAggQuery);
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  ASSERT_TRUE(run.tel.used_jit) << run.tel.fallback_reason;
+  EXPECT_GT(run.tel.open_ms, 0.0);
+
+  obs::QueryTrace t = engine->trace()->Snapshot();
+  double j_begin = 0, j_end = 0;
+  ASSERT_TRUE(t.TimeBounds("jit_compile", &j_begin, &j_end));
+  size_t open_spans = 0;
+  for (const auto& e : t.events) {
+    const std::string name = e.name;
+    if (name != "structural_index" && name != "collect_stats") continue;
+    ++open_spans;
+    const bool inside = e.ts_us >= j_begin && e.ts_us + e.dur_us <= j_end;
+    EXPECT_FALSE(inside) << name << " ran inside jit_compile";
+  }
+  EXPECT_EQ(open_spans, 2u);
+}
+
+// proteus_query_latency_ms observes the whole query, compile included.
+TEST(EngineMetrics, LatencyCoversCompileAndExecute) {
+  obs::MetricsRegistry reg;
+  EngineOptions opts;
+  opts.metrics = &reg;
+  opts.morsel_rows = kTestMorselRows;
+  auto engine = MakeEngine(opts);
+  auto run = testutil::RunQuery(engine.get(), kAggQuery);
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  ASSERT_TRUE(run.tel.used_jit && !run.tel.jit_cache_hit);
+  ASSERT_GT(run.tel.compile_ms, 0.0);
+  const obs::Histogram* latency = reg.GetHistogram("proteus_query_latency_ms");
+  ASSERT_EQ(latency->count(), 1u);
+  EXPECT_GE(latency->sum(), run.tel.compile_ms + run.tel.execute_ms);
+}
+
+/// Runs `sql` through ExecutePlan and checks that the phases the telemetry
+/// reports fit inside the wall time the caller measured. A tiered run's
+/// compile overlapped execution, so it is left out of the sum.
+QueryTelemetry ExpectPhasesFitTheWall(QueryEngine* engine, const std::string& sql,
+                                      const std::string& route) {
+  OpPtr logical = testutil::LogicalPlan(engine, sql);
+  if (logical == nullptr) return {};
+  QueryTelemetry tel;
+  CallOptions call;
+  call.telemetry = &tel;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = engine->ExecutePlan(std::move(logical), call);
+  const double wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_TRUE(r.ok()) << route << ": " << r.status().ToString();
+  const bool tiered = engine->options().tiered;
+  const double phases = tel.optimize_ms + tel.cache_build_ms + tel.open_ms +
+                        (tiered ? 0.0 : tel.compile_ms) + tel.execute_ms;
+  EXPECT_LE(phases, wall_ms) << route;
+  EXPECT_GE(tel.execute_ms, 0.0) << route;
+  EXPECT_EQ(tel.jit_parallel, tel.used_jit) << route;
+  if (tel.jit_cache_hit) {
+    EXPECT_EQ(tel.compile_ms, 0.0) << route;
+  }
+  return tel;
+}
+
+TEST(EngineTelemetry, EveryRouteAccountsForItsWallTime) {
+  EngineOptions base;
+  base.num_threads = 2;
+  base.morsel_rows = kTestMorselRows;
+
+  EngineOptions interp_opts = base;
+  interp_opts.mode = ExecMode::kInterp;
+  QueryTelemetry t = ExpectPhasesFitTheWall(MakeEngine(interp_opts).get(), kAggQuery,
+                                            "interpreter");
+  EXPECT_FALSE(t.used_jit);
+  EXPECT_EQ(t.compile_ms, 0.0);
+
+  auto jit = MakeEngine(base);
+  t = ExpectPhasesFitTheWall(jit.get(), kAggQuery, "jit miss");
+  EXPECT_TRUE(t.used_jit && !t.jit_cache_hit) << t.fallback_reason;
+  EXPECT_GT(t.compile_ms, 0.0);
+  EXPECT_GT(t.open_ms, 0.0) << "the cold query opens the JSON plug-in";
+  t = ExpectPhasesFitTheWall(jit.get(), kAggQuery, "jit hit");
+  EXPECT_TRUE(t.used_jit && t.jit_cache_hit);
+  EXPECT_EQ(t.compile_ms, 0.0);
+
+  t = ExpectPhasesFitTheWall(
+      jit.get(),
+      "SELECT min(if l_quantity > 25.0 then l_extendedprice else 1) FROM lineitem_json",
+      "jit fallback");
+  EXPECT_FALSE(t.used_jit);
+  EXPECT_FALSE(t.fallback_reason.empty());
+  EXPECT_GT(t.compile_ms, 0.0) << "the aborted codegen attempt is compile time";
+
+  EngineOptions sharded = base;
+  sharded.num_shards = 2;
+  t = ExpectPhasesFitTheWall(MakeEngine(sharded).get(), kAggQuery, "2 shards");
+  EXPECT_EQ(t.shards_used, 2);
+  EXPECT_TRUE(t.used_jit);
+
+  EngineOptions tiered = base;
+  tiered.tiered = true;
+  tiered.tiered_opts.force_swap_after_morsels = 1;
+  t = ExpectPhasesFitTheWall(MakeEngine(tiered).get(), kAggQuery, "tiered swap");
+  EXPECT_GT(t.morsels_interpreted, 0u);
+  EXPECT_GT(t.morsels_jit, 0u);
 }
 
 }  // namespace

@@ -111,9 +111,10 @@ TEST(ParallelExecution, ParallelMatchesJitOracle) {
 
 TEST(ParallelExecution, TelemetryReportsThreadsAndMorsels) {
   auto engine = MakeEngine(4);
-  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine->telemetry();
+  auto r = testutil::RunQuery(engine.get(),
+                              "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  const QueryTelemetry& t = r.tel;
   EXPECT_FALSE(t.used_jit);
   EXPECT_GT(t.morsels, 1u) << "corpus should split into multiple morsels";
   EXPECT_GE(t.threads_used, 1);
@@ -132,11 +133,11 @@ TEST(ParallelExecution, JitModeRoutesOnlyEligiblePlansToWorkers) {
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
 
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_parallel);
-  EXPECT_GT(engine.telemetry().morsels, 0u);
+  auto r = testutil::RunQuery(&engine, "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  EXPECT_TRUE(r.tel.used_jit);
+  EXPECT_TRUE(r.tel.jit_parallel);
+  EXPECT_GT(r.tel.morsels, 0u);
 
   // Nest-of-Nest: the inner Nest sits mid-chain under the outer one, which
   // the morsel driver does not accept.
@@ -147,14 +148,14 @@ TEST(ParallelExecution, JitModeRoutesOnlyEligiblePlansToWorkers) {
   OpPtr outer_nest =
       Operator::Nest(inner, Expr::Proj(Expr::Var("g"), "ln"), "ln2",
                      {{Monoid::kCount, nullptr, "c"}}, nullptr, "h");
-  auto nested =
-      engine.ExecutePlan(Operator::Reduce(outer_nest, {{Monoid::kCount, nullptr, "n"}}));
-  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
-  EXPECT_EQ(engine.telemetry().morsels, 0u);
+  auto nested = testutil::RunQuery(
+      &engine, Operator::Reduce(outer_nest, {{Monoid::kCount, nullptr, "n"}}));
+  ASSERT_TRUE(nested.result.ok()) << nested.result.status().ToString();
+  EXPECT_EQ(nested.tel.morsels, 0u);
   // The JIT was at least attempted: any fallback reason is the JIT's own,
   // not the parallel-routing one.
-  EXPECT_EQ(engine.telemetry().fallback_reason.find("num_threads"), std::string::npos)
-      << engine.telemetry().fallback_reason;
+  EXPECT_EQ(nested.tel.fallback_reason.find("num_threads"), std::string::npos)
+      << nested.tel.fallback_reason;
 }
 
 TEST(ParallelExecution, JitPathStaysSingleThreadedAndCorrect) {
@@ -164,9 +165,9 @@ TEST(ParallelExecution, JitPathStaysSingleThreadedAndCorrect) {
   opts.mode = ExecMode::kJIT;
   QueryEngine engine(opts);
   testutil::RegisterAll(&engine);
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(engine.telemetry().threads_used, 1);
+  auto r = testutil::RunQuery(&engine, "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 30");
+  ASSERT_TRUE(r.result.ok());
+  EXPECT_EQ(r.tel.threads_used, 1);
 }
 
 TEST(ParallelExecution, OuterJoinRunsMorselParallelAndMatches) {
@@ -192,12 +193,11 @@ TEST(ParallelExecution, OuterJoinRunsMorselParallelAndMatches) {
   };
   for (bool project : {false, true}) {
     auto a = MakeEngine(1)->ExecutePlan(make_plan(project));
-    auto b8 = MakeEngine(8);
-    auto b = b8->ExecutePlan(make_plan(project));
+    auto b = testutil::RunQuery(MakeEngine(8).get(), make_plan(project));
     ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ExpectIdentical(*a, *b, project ? "outer join rows" : "outer join count");
-    EXPECT_GT(b8->telemetry().morsels, 0u) << "outer joins run morsel-parallel now";
+    ASSERT_TRUE(b.result.ok()) << b.result.status().ToString();
+    ExpectIdentical(*a, *b.result, project ? "outer join rows" : "outer join count");
+    EXPECT_GT(b.tel.morsels, 0u) << "outer joins run morsel-parallel now";
   }
 }
 
@@ -216,9 +216,10 @@ TEST(ParallelExecution, HardwareConcurrencyResolvesInTelemetry) {
   EXPECT_GE(resolved, 1);
   EXPECT_EQ(engine.options().num_threads, resolved);
 
-  auto r = engine.Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine.telemetry();
+  auto r = testutil::RunQuery(&engine,
+                              "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  const QueryTelemetry& t = r.tel;
   EXPECT_GT(t.morsels, 0u);
   EXPECT_EQ(t.threads_used,
             static_cast<int>(std::min<uint64_t>(static_cast<uint64_t>(resolved), t.morsels)));
@@ -530,11 +531,10 @@ TEST(ParallelExecution, TypedNestGroupBysIdenticalAcrossEnginesAndThreads) {
     opts.morsel_rows = kTestMorselRows;
     QueryEngine engine(opts);
     testutil::RegisterNestCorpus(&engine);
-    auto r = engine.Execute(q);
-    EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
-    EXPECT_EQ(engine.telemetry().used_jit, mode == ExecMode::kJIT)
-        << q << ": " << engine.telemetry().fallback_reason;
-    return r.ok() ? *r : QueryResult{};
+    auto r = testutil::RunQuery(&engine, q);
+    EXPECT_TRUE(r.result.ok()) << q << "\n" << r.result.status().ToString();
+    EXPECT_EQ(r.tel.used_jit, mode == ExecMode::kJIT) << q << ": " << r.tel.fallback_reason;
+    return r.result.ok() ? *r.result : QueryResult{};
   };
   for (const auto& q : queries) {
     const QueryResult oracle = run(q, ExecMode::kInterp, 1, 0);

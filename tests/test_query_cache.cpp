@@ -191,10 +191,12 @@ QueryEngine MakeEngine(int threads = 1, int shards = 0, size_t cache_capacity = 
   return QueryEngine(std::move(opts));
 }
 
-QueryResult MustRun(QueryEngine* e, const std::string& q) {
-  auto r = e->Execute(q);
-  EXPECT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
-  return r.ok() ? std::move(*r) : QueryResult{};
+/// Runs `q`, expecting success; `tel` (optional) receives its telemetry.
+QueryResult MustRun(QueryEngine* e, const std::string& q, QueryTelemetry* tel = nullptr) {
+  testutil::QueryRun run = testutil::RunQuery(e, q);
+  EXPECT_TRUE(run.result.ok()) << q << "\n" << run.result.status().ToString();
+  if (tel != nullptr) *tel = run.tel;
+  return run.result.ok() ? std::move(*run.result) : QueryResult{};
 }
 
 /// Cell-for-cell equality: same columns, same row order, exact values
@@ -232,31 +234,32 @@ TEST(QueryCacheEngine, RepeatExecutionHitsAndDifferentPlanMisses) {
   testutil::RegisterAll(&engine);
   ASSERT_NE(engine.jit_cache(), nullptr);
 
-  QueryResult first = MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().jit_compile_ms, 0.0);
+  QueryTelemetry tel;
+  QueryResult first = MustRun(&engine, kAggQuery, &tel);
+  ASSERT_TRUE(tel.used_jit);
+  EXPECT_FALSE(tel.jit_cache_hit);
+  EXPECT_GT(tel.compile_ms, 0.0);
   const uint64_t compiles_after_first = engine.jit_cache()->stats().compiles;
   EXPECT_EQ(compiles_after_first, 1u);
 
-  QueryResult second = MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
-  EXPECT_EQ(engine.telemetry().jit_compile_ms, 0.0)
+  testutil::QueryRun second = testutil::RunQuery(&engine, kAggQuery);
+  ASSERT_TRUE(second.result.ok()) << second.result.status().ToString();
+  ASSERT_TRUE(second.tel.used_jit);
+  EXPECT_TRUE(second.tel.jit_cache_hit);
+  EXPECT_EQ(second.tel.compile_ms, 0.0)
       << "a warm execution must perform zero IR generation/compilation";
-  EXPECT_EQ(engine.telemetry().compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first)
       << "compile counter must not move on a warm run";
-  ExpectIdentical(first, second, "cached vs fresh execution");
-  EXPECT_FALSE(engine.last_ir().empty()) << "hits still expose the module's IR";
+  ExpectIdentical(first, *second.result, "cached vs fresh execution");
+  EXPECT_FALSE(second.ir.empty()) << "hits still expose the module's IR";
 
   // Different signature -> miss (and the old entry stays warm).
-  MustRun(&engine, kGroupQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-  EXPECT_GT(engine.telemetry().jit_compile_ms, 0.0);
+  MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit);
+  EXPECT_GT(tel.compile_ms, 0.0);
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_after_first + 1);
-  MustRun(&engine, kAggQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
+  MustRun(&engine, kAggQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit);
 }
 
 // Cached re-executions are cell-identical to a fresh compile, for every
@@ -267,16 +270,17 @@ TEST(QueryCacheEngine, CachedVsFreshCellIdenticalAcrossThreads) {
     QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0);
     testutil::RegisterAll(&fresh);
     ASSERT_EQ(fresh.jit_cache(), nullptr);
-    QueryResult reference = MustRun(&fresh, query);
-    ASSERT_TRUE(fresh.telemetry().used_jit) << query;
+    QueryTelemetry tel;
+    QueryResult reference = MustRun(&fresh, query, &tel);
+    ASSERT_TRUE(tel.used_jit) << query;
 
     for (int threads : {1, 2, 4}) {
       QueryEngine engine = MakeEngine(threads);
       testutil::RegisterAll(&engine);
-      QueryResult cold = MustRun(&engine, query);
-      EXPECT_FALSE(engine.telemetry().jit_cache_hit);
-      QueryResult warm = MustRun(&engine, query);
-      EXPECT_TRUE(engine.telemetry().jit_cache_hit) << query;
+      QueryResult cold = MustRun(&engine, query, &tel);
+      EXPECT_FALSE(tel.jit_cache_hit);
+      QueryResult warm = MustRun(&engine, query, &tel);
+      EXPECT_TRUE(tel.jit_cache_hit) << query;
       std::string ctx = std::string(query) + " threads=" + std::to_string(threads);
       ExpectIdentical(reference, cold, ctx + " cold");
       ExpectIdentical(reference, warm, ctx + " warm");
@@ -301,18 +305,18 @@ TEST(QueryCacheEngine, ShardsShareOneCompile) {
   for (int shards : {1, 2, 4}) {
     QueryEngine engine = MakeEngine(/*threads=*/1, shards);
     testutil::RegisterAll(&engine);
-    QueryResult cold = MustRun(&engine, query);
-    ASSERT_EQ(engine.telemetry().shards_used, shards);
-    ASSERT_TRUE(engine.telemetry().used_jit);
+    QueryTelemetry tel;
+    QueryResult cold = MustRun(&engine, query, &tel);
+    ASSERT_EQ(tel.shards_used, shards);
+    ASSERT_TRUE(tel.used_jit);
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u)
         << shards << " shards must trigger exactly one compile";
-    EXPECT_FALSE(engine.telemetry().jit_cache_hit);
+    EXPECT_FALSE(tel.jit_cache_hit);
 
-    QueryResult warm = MustRun(&engine, query);
+    QueryResult warm = MustRun(&engine, query, &tel);
     EXPECT_EQ(engine.jit_cache()->stats().compiles, 1u);
-    EXPECT_TRUE(engine.telemetry().jit_cache_hit)
-        << "warm sharded run must be served entirely from the cache";
-    EXPECT_EQ(engine.telemetry().jit_compile_ms, 0.0);
+    EXPECT_TRUE(tel.jit_cache_hit) << "warm sharded run must be served entirely from the cache";
+    EXPECT_EQ(tel.compile_ms, 0.0);
 
     std::string ctx = "shards=" + std::to_string(shards);
     ExpectIdentical(reference, cold, ctx + " cold");
@@ -325,8 +329,9 @@ TEST(QueryCacheEngine, CatalogMutationInvalidates) {
   QueryEngine engine = MakeEngine();
   testutil::RegisterAll(&engine);
   QueryResult before = MustRun(&engine, kAggQuery);
-  MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+  QueryTelemetry tel;
+  MustRun(&engine, kAggQuery, &tel);
+  ASSERT_TRUE(tel.jit_cache_hit);
   ASSERT_EQ(engine.jit_cache()->stats().compiles, 1u);
 
   // Registering any dataset bumps the catalog epoch: the module was built
@@ -338,18 +343,18 @@ TEST(QueryCacheEngine, CatalogMutationInvalidates) {
   extra.type = datagen::SpamJSONSchema();
   ASSERT_TRUE(engine.RegisterDataset(extra).ok());
 
-  QueryResult after = MustRun(&engine, kAggQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "catalog mutation must invalidate";
+  QueryResult after = MustRun(&engine, kAggQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit) << "catalog mutation must invalidate";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, 2u);
   ExpectIdentical(before, after, "recompiled after catalog mutation");
 
   // InvalidateDataset (drop-and-rebuild update story) also retires modules —
   // the plug-in is evicted, so data pointers and structural indexes change.
-  MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().jit_cache_hit);
+  MustRun(&engine, kAggQuery, &tel);
+  ASSERT_TRUE(tel.jit_cache_hit);
   engine.InvalidateDataset("lineitem_bincol");
-  QueryResult reloaded = MustRun(&engine, kAggQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit) << "dataset invalidation must invalidate";
+  QueryResult reloaded = MustRun(&engine, kAggQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit) << "dataset invalidation must invalidate";
   ExpectIdentical(before, reloaded, "recompiled after dataset invalidation");
 }
 
@@ -364,24 +369,24 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   QueryEngine fresh = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/0,
                                  /*enable_caching=*/true);
   testutil::RegisterAll(&fresh);
-  QueryResult reference = MustRun(&fresh, kGroupQuery);
-  ASSERT_TRUE(fresh.telemetry().used_cache);
+  QueryTelemetry tel;
+  QueryResult reference = MustRun(&fresh, kGroupQuery, &tel);
+  ASSERT_TRUE(tel.used_cache);
 
   QueryEngine engine = MakeEngine(/*threads=*/1, /*shards=*/0, /*cache_capacity=*/32,
                                   /*enable_caching=*/true);
   testutil::RegisterAll(&engine);
   // First run: builds the scan cache (Install bumps the cache epoch), then
   // compiles the rewritten plan.
-  QueryResult cold = MustRun(&engine, kGroupQuery);
-  ASSERT_TRUE(engine.telemetry().used_cache);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit);
+  QueryResult cold = MustRun(&engine, kGroupQuery, &tel);
+  ASSERT_TRUE(tel.used_cache);
+  ASSERT_TRUE(tel.used_jit);
+  EXPECT_FALSE(tel.jit_cache_hit);
   const uint64_t compiles_cold = engine.jit_cache()->stats().compiles;
 
   // Second run: same rewrite, no new installs -> warm.
-  QueryResult warm = MustRun(&engine, kGroupQuery);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit)
-      << "cache-scan plans must be reusable across executions";
+  QueryResult warm = MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_TRUE(tel.jit_cache_hit) << "cache-scan plans must be reusable across executions";
   EXPECT_EQ(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, cold, "caching engine cold");
   ExpectIdentical(reference, warm, "caching engine warm");
@@ -389,9 +394,8 @@ TEST(QueryCacheEngine, CachingManagerMutationInvalidates) {
   // Mutating the caching manager retires the module; the rebuilt cache gets
   // a new block id, so the re-run compiles a fresh (re-rewritten) plan.
   engine.caches().InvalidateDataset("lineitem_json");
-  QueryResult rebuilt = MustRun(&engine, kGroupQuery);
-  EXPECT_FALSE(engine.telemetry().jit_cache_hit)
-      << "caching-manager mutation must invalidate";
+  QueryResult rebuilt = MustRun(&engine, kGroupQuery, &tel);
+  EXPECT_FALSE(tel.jit_cache_hit) << "caching-manager mutation must invalidate";
   EXPECT_GT(engine.jit_cache()->stats().compiles, compiles_cold);
   ExpectIdentical(reference, rebuilt, "caching engine rebuilt");
 }
@@ -420,9 +424,10 @@ OpPtr ScanReducePlan(QueryEngine& engine) {
 TEST(JitSession, ModulesCarryTheHostDataLayoutAndTriple) {
   QueryEngine engine = MakeEngine();
   testutil::RegisterAll(&engine);
-  MustRun(&engine, kAggQuery);
-  ASSERT_TRUE(engine.telemetry().used_jit);
-  const std::string ir = engine.last_ir();
+  testutil::QueryRun run = testutil::RunQuery(&engine, kAggQuery);
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  ASSERT_TRUE(run.tel.used_jit);
+  const std::string& ir = run.ir;
   EXPECT_NE(ir.find("target datalayout = \""), std::string::npos) << ir;
   EXPECT_NE(ir.find("target triple = \"" + jit::JitSession::Get().target_triple() + "\""),
             std::string::npos)
@@ -621,9 +626,10 @@ TEST(JitSession, TierTwoPromotionUsesTheAggressiveTargetMachine) {
   ASSERT_NE(module, nullptr);
   EXPECT_EQ(module->level, jit::CodegenLevel::kAggressive) << "tier 2 stays aggressive";
 
-  QueryResult promoted = MustRun(&engine, kAggQuery);
-  EXPECT_EQ(engine.telemetry().compile_tier, 2);
-  EXPECT_TRUE(engine.telemetry().jit_cache_hit);
+  QueryTelemetry tel;
+  QueryResult promoted = MustRun(&engine, kAggQuery, &tel);
+  EXPECT_EQ(tel.compile_tier, 2);
+  EXPECT_TRUE(tel.jit_cache_hit);
   ExpectIdentical(cold, promoted, "tier-1 vs tier-2 module");
 }
 

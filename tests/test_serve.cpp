@@ -113,6 +113,8 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   res.columns = {"count", "sum"};
   res.rows.push_back({Value::Int(42), Value::Float(13.25)});
   QueryTelemetry tel;
+  tel.open_ms = 0.75;
+  tel.compile_ms = 2.25;
   tel.execute_ms = 1.5;
   tel.used_jit = true;
   tel.jit_cache_hit = true;
@@ -133,6 +135,9 @@ TEST(ServeProtocol, FrameAndBodyRoundTrip) {
   auto body = serve::DecodeResultBody(back->body);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   ExpectIdentical(res, body->result, "result round-trip");
+  EXPECT_EQ(body->telemetry.open_ms, 0.75);
+  EXPECT_EQ(body->telemetry.compile_ms, 2.25);
+  EXPECT_EQ(body->telemetry.execute_ms, 1.5);
   EXPECT_EQ(body->telemetry.tasks_dealt, 7u);
   EXPECT_TRUE(body->telemetry.jit_cache_hit);
   EXPECT_EQ(body->telemetry.plan, tel.plan);

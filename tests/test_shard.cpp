@@ -94,12 +94,11 @@ TEST(ShardedExecution, ResultsIdenticalAcrossShardCounts) {
     ASSERT_TRUE(baseline.ok()) << q << "\n" << baseline.status().ToString();
     for (int shards : {1, 2, 4}) {
       auto engine = MakeEngine(shards);
-      auto r = engine->Execute(q);
-      ASSERT_TRUE(r.ok()) << q << "\n" << r.status().ToString();
-      ExpectIdentical(*baseline, *r, q + " @ " + std::to_string(shards) + " shards");
-      EXPECT_GT(engine->telemetry().shards_used, 0) << q;
-      EXPECT_GT(engine->telemetry().bytes_exchanged, 0u)
-          << q << ": shard partials must cross the wire";
+      auto r = testutil::RunQuery(engine.get(), q);
+      ASSERT_TRUE(r.result.ok()) << q << "\n" << r.result.status().ToString();
+      ExpectIdentical(*baseline, *r.result, q + " @ " + std::to_string(shards) + " shards");
+      EXPECT_GT(r.tel.shards_used, 0) << q;
+      EXPECT_GT(r.tel.bytes_exchanged, 0u) << q << ": shard partials must cross the wire";
     }
   }
 }
@@ -171,11 +170,13 @@ TEST(ShardedExecution, JitShardsIdenticalAtBothTierOneCodegenLevels) {
       for (int shards : {2, 3}) {
         auto engine = MakeEngine(shards, /*num_threads=*/2);
         engine->set_mode(ExecMode::kJIT);
+        QueryTelemetry tel;
         testutil::ExpectInstalledLevelMatches(
             engine.get(), q, level, *oracle,
             q + " @ opt_level " + std::to_string(static_cast<int>(level)) + ", " +
-                std::to_string(shards) + " shards");
-        EXPECT_GT(engine->telemetry().shards_used, 0) << q;
+                std::to_string(shards) + " shards",
+            &tel);
+        EXPECT_GT(tel.shards_used, 0) << q;
       }
     }
   }
@@ -201,9 +202,10 @@ TEST(ShardedExecution, MatchesJitOracle) {
 
 TEST(ShardedExecution, TelemetryReportsShardsAndBytes) {
   auto engine = MakeEngine(4);
-  auto r = engine->Execute("SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryTelemetry& t = engine->telemetry();
+  auto r = testutil::RunQuery(engine.get(),
+                              "SELECT count(*) FROM lineitem_json WHERE l_orderkey < 1000000");
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  const QueryTelemetry& t = r.tel;
   EXPECT_FALSE(t.used_jit);
   EXPECT_EQ(t.shards_used, 4) << "corpus splits into >= 4 morsels, so all shards run";
   EXPECT_GT(t.bytes_exchanged, 0u);
@@ -216,10 +218,10 @@ TEST(ShardedExecution, SingleShardStillCrossesTheWire) {
   // as a smoke test for the wire format and as the degenerate case of the
   // identity guarantee.
   auto engine = MakeEngine(1);
-  auto r = engine->Execute(Workload()[0]);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine->telemetry().shards_used, 1);
-  EXPECT_GT(engine->telemetry().bytes_exchanged, 0u);
+  auto r = testutil::RunQuery(engine.get(), Workload()[0]);
+  ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+  EXPECT_EQ(r.tel.shards_used, 1);
+  EXPECT_GT(r.tel.bytes_exchanged, 0u);
 }
 
 TEST(ShardedExecution, NonShardablePlansKeepTheirNormalPath) {
@@ -235,13 +237,12 @@ TEST(ShardedExecution, NonShardablePlansKeepTheirNormalPath) {
     return Operator::Reduce(join, {{Monoid::kCount, nullptr, "n"}});
   };
   auto unsharded = MakeEngine(0)->ExecutePlan(make_plan());
-  auto engine = MakeEngine(4);
-  auto sharded = engine->ExecutePlan(make_plan());
+  auto sharded = testutil::RunQuery(MakeEngine(4).get(), make_plan());
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ExpectIdentical(*unsharded, *sharded, "outer join under num_shards=4");
-  EXPECT_EQ(engine->telemetry().shards_used, 0);
-  EXPECT_EQ(engine->telemetry().bytes_exchanged, 0u);
+  ASSERT_TRUE(sharded.result.ok()) << sharded.result.status().ToString();
+  ExpectIdentical(*unsharded, *sharded.result, "outer join under num_shards=4");
+  EXPECT_EQ(sharded.tel.shards_used, 0);
+  EXPECT_EQ(sharded.tel.bytes_exchanged, 0u);
 }
 
 TEST(ShardedExecution, ComposesWithCaching) {
@@ -251,15 +252,17 @@ TEST(ShardedExecution, ComposesWithCaching) {
   auto sharded_engine = MakeEngine(2, 1, /*caching=*/true);
   const std::string q =
       "SELECT count(*), sum(l_extendedprice) FROM lineitem_csv WHERE l_orderkey < 40";
+  QueryTelemetry tel;
   for (int round = 0; round < 2; ++round) {  // cold build, then cache hit
     auto a = baseline_engine->Execute(q);
-    auto b = sharded_engine->Execute(q);
+    auto b = testutil::RunQuery(sharded_engine.get(), q);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ExpectIdentical(*a, *b, "cached CSV aggregate, round " + std::to_string(round));
+    ASSERT_TRUE(b.result.ok()) << b.result.status().ToString();
+    ExpectIdentical(*a, *b.result, "cached CSV aggregate, round " + std::to_string(round));
+    tel = b.tel;
   }
-  EXPECT_TRUE(sharded_engine->telemetry().used_cache);
-  EXPECT_GT(sharded_engine->telemetry().shards_used, 0);
+  EXPECT_TRUE(tel.used_cache);
+  EXPECT_GT(tel.shards_used, 0);
 }
 
 // ---------------------------------------------------------------------------
